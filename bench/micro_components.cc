@@ -1,17 +1,20 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): the hot paths every
- * simulated access exercises -- TLB lookups in each structure, NAPOT
- * encode/decode, page walks, buddy allocation, and the full
- * MMU-translate path.  These bound the simulator's own throughput and
- * document the relative cost of the structures.
+ * simulated access exercises -- TLB lookups in each structure, the
+ * data-cache model, NAPOT encode/decode, page walks, buddy allocation,
+ * and the full MMU-translate path.  These bound the simulator's own
+ * throughput and document the relative cost of the structures.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "os/buddy_allocator.hh"
 #include "os/phys_memory.hh"
 #include "os/policy_common.hh"
+#include "sim/memsys.hh"
 #include "sim/mmu.hh"
 #include "tlb/colt_tlb.hh"
 #include "tlb/fully_assoc_tlb.hh"
@@ -179,6 +182,27 @@ BM_ColtTlbLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ColtTlbLookup);
+
+void
+BM_MemSysAccess(benchmark::State &state)
+{
+    // The data-cache model that every access and walk reference goes
+    // through.  hot16k=0 draws from 256 MB (mostly DRAM, with the LLC
+    // rows cold in the host cache); hot16k=1 from a 16 KB set that
+    // stays in the modelled L1.
+    uint64_t span = state.range(0) ? 16ull << 10 : 256ull << 20;
+    std::vector<vm::Paddr> addrs(1 << 16);
+    Pcg32 rng(8);
+    for (vm::Paddr &pa : addrs)
+        pa = rng.below64(span);
+    sim::MemSys ms;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ms.access(addrs[i]));
+        i = (i + 1) & (addrs.size() - 1);
+    }
+}
+BENCHMARK(BM_MemSysAccess)->ArgName("hot16k")->Arg(0)->Arg(1);
 
 void
 BM_PageWalk4k(benchmark::State &state)

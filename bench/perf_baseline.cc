@@ -56,6 +56,10 @@
 
 #include <sys/resource.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/tps_system.hh"
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
@@ -130,6 +134,19 @@ parseSize(const char *s, uint64_t *out)
         return false;
     *out = v << shift;
     return true;
+}
+
+/**
+ * Return free heap to the OS, so that buffers freed by an earlier cell
+ * (a --trace-overhead run's event trace, say) do not stay resident and
+ * count toward the next cell's peak RSS.  glibc only; a no-op elsewhere.
+ */
+void
+trimHeap()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
 }
 
 /**
@@ -291,6 +308,7 @@ measure(const std::string &wl, core::Design design, double scale,
     for (unsigned i = 0; i < repeat; ++i) {
         if (trace)
             trace->clear();
+        trimHeap();
         resetPeakRss();
         auto t0 = std::chrono::steady_clock::now();
         sim::SimStats stats = core::runExperiment(run, hooks);

@@ -2,30 +2,45 @@
 
 #include "obs/stats_bindings.hh"
 #include "util/bitops.hh"
-#include "util/logging.hh"
 
 namespace tps::sim {
 
+template <typename Tag>
 void
-MemSys::Level::init(uint64_t bytes, unsigned w, unsigned line)
+MemSys::Level<Tag>::init(uint64_t bytes, unsigned ways, unsigned line_bytes)
 {
-    ways = w;
-    uint64_t lines = bytes / line;
+    tps_assert(ways >= 1 && ways <= kMaxWays);
+    uint64_t lines = bytes / line_bytes;
     tps_assert(lines % ways == 0);
-    sets = static_cast<unsigned>(lines / ways);
+    uint64_t sets = lines / ways;
     tps_assert(isPowerOfTwo(sets));
-    setShift = log2Floor(sets);
-    tags.assign(lines, kInvalidTag);
-    lastUse.assign(lines, 0);
+    setMask_ = sets - 1;
+    setShift_ = log2Floor(sets);
+    rowsPerSet_ = (ways + Row::kWays - 1) / Row::kWays;
+
+    Row empty;
+    for (Tag &t : empty.tag)
+        t = kInvalidTag;
+    rows_.assign(sets * rowsPerSet_, empty);
+
+    Ranks fresh;
+    for (unsigned w = 0; w < kMaxWays; ++w)
+        fresh.rank[w] = w < ways ? static_cast<uint8_t>(ways - 1 - w)
+                                 : kPadRank;
+    ranks_.assign(sets, fresh);
+    lruRank_ = _mm_set1_epi8(static_cast<char>(ways - 1));
 }
+
+template class MemSys::Level<uint32_t>;
+template class MemSys::Level<uint64_t>;
 
 MemSys::MemSys(const MemSysConfig &cfg)
     : cfg_(cfg)
 {
+    tps_assert(isPowerOfTwo(uint64_t(cfg_.lineBytes)));
+    lineShift_ = log2Floor(cfg_.lineBytes);
     l1_.init(cfg_.l1Bytes, cfg_.l1Ways, cfg_.lineBytes);
     llc_.init(cfg_.llcBytes, cfg_.llcWays, cfg_.lineBytes);
-    lineIsPow2_ = isPowerOfTwo(uint64_t(cfg_.lineBytes));
-    lineShift_ = lineIsPow2_ ? log2Floor(cfg_.lineBytes) : 0;
 }
 
 void

@@ -8,8 +8,13 @@ namespace tps::vm {
 
 namespace {
 
-/** Synthetic frame used to charge the 5th-level table access. */
-constexpr Pfn kPml5Frame = (1ull << 39) - 1;
+/**
+ * Synthetic frame used to charge the 5th-level table access.  It lies
+ * above every buddy and synthetic page-table frame and below the
+ * data-cache model's LLC tag reach (2^49 - 128 KB at Table I).  Its low
+ * five bits, which take part in the Table I LLC set index, are all ones.
+ */
+constexpr Pfn kPml5Frame = (1ull << 37) - 33;
 
 } // namespace
 

@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -47,10 +48,43 @@ slurp(const std::string &path)
     return ss.str();
 }
 
+/**
+ * This process's own scratch directory, removed at exit.  ctest runs
+ * each case in its own process, in parallel under -j, so file names
+ * that are unique only within a process must not share a directory.
+ */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        std::string tmpl =
+            std::string(::testing::TempDir()) + "/cli_contract_XXXXXX";
+        if (!::mkdtemp(tmpl.data())) {
+            std::perror("mkdtemp");
+            std::abort();
+        }
+        path_ = tmpl;
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
 std::string
 tempPath(const std::string &name)
 {
-    return std::string(::testing::TempDir()) + "/" + name;
+    static const ScratchDir dir;
+    return dir.path() + "/" + name;
 }
 
 /** Run @p cmd through the shell, capturing exit code, stdout, stderr. */

@@ -10,7 +10,6 @@
 #include "sim/engine.hh"
 #include "sim/memsys.hh"
 #include "sim/perf_model.hh"
-#include "sim/smt.hh"
 #include "workloads/gups.hh"
 
 namespace tps::sim {

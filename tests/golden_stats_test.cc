@@ -201,10 +201,13 @@ TEST(GoldenStats, ManifestByteStableAcrossJobs)
 }
 
 /**
- * Golden counters for gups at scale 0.02 under THP and TPS.  These are
- * the measured-phase numbers the figure benches consume (Fig. 10/11
- * inputs).  If a legitimate model change moves them, re-pin by running:
- *   build/tests/test_golden_stats --gtest_filter='GoldenStats.Gups*'
+ * Golden counters for gups and mcf at scale 0.02 under THP and TPS.
+ * These are the measured-phase numbers the figure benches consume
+ * (Fig. 10/11 inputs), plus the data-cache model's per-level counts
+ * and the cycle total (Fig. 13 inputs), so a change to the cache model
+ * that moves these counts fails here.  If a legitimate model
+ * change moves them, re-pin by running:
+ *   build/tests/test_golden_stats --gtest_filter='GoldenStats.*Under*'
  * and copying the "actual" values reported in the failure output.
  */
 struct Golden
@@ -217,11 +220,21 @@ struct Golden
     uint64_t promotions;
 };
 
+/** Data-cache and cycle-model counters of one cell. */
+struct MemGolden
+{
+    uint64_t accesses;
+    uint64_t l1Hits;
+    uint64_t llcHits;
+    uint64_t dramAccesses;
+    uint64_t cycles;
+};
+
 sim::SimStats
-runGups(Design d)
+runCell(const char *workload, Design d)
 {
     RunOptions opts;
-    opts.workload = "gups";
+    opts.workload = workload;
     opts.design = d;
     opts.scale = 0.02;
     opts.physBytes = 512ull << 20;
@@ -229,7 +242,7 @@ runGups(Design d)
 }
 
 void
-expectGolden(const sim::SimStats &s, const Golden &g)
+expectGolden(const sim::SimStats &s, const Golden &g, const MemGolden &m)
 {
     EXPECT_EQ(s.accesses, g.accesses);
     EXPECT_EQ(s.l1TlbMisses, g.l1TlbMisses);
@@ -237,18 +250,39 @@ expectGolden(const sim::SimStats &s, const Golden &g)
     EXPECT_EQ(s.walkMemRefs, g.walkMemRefs);
     EXPECT_EQ(s.faults, g.faults);
     EXPECT_EQ(s.osWork.promotions, g.promotions);
+    EXPECT_EQ(s.memsys.accesses, m.accesses);
+    EXPECT_EQ(s.memsys.l1Hits, m.l1Hits);
+    EXPECT_EQ(s.memsys.llcHits, m.llcHits);
+    EXPECT_EQ(s.memsys.dramAccesses, m.dramAccesses);
+    EXPECT_EQ(s.cycles, m.cycles);
 }
 
 TEST(GoldenStats, GupsUnderThp)
 {
-    expectGolden(runGups(Design::Thp),
-                 Golden{30000, 3140, 38, 38, 0, 40});
+    expectGolden(runCell("gups", Design::Thp),
+                 Golden{30000, 3140, 38, 38, 0, 40},
+                 MemGolden{30038, 15043, 88, 14907, 377137});
 }
 
 TEST(GoldenStats, GupsUnderTps)
 {
-    expectGolden(runGups(Design::Tps),
-                 Golden{30000, 55, 1, 2, 0, 20962});
+    expectGolden(runCell("gups", Design::Tps),
+                 Golden{30000, 55, 1, 2, 0, 20962},
+                 MemGolden{30002, 15005, 92, 14905, 373384});
+}
+
+TEST(GoldenStats, McfUnderThp)
+{
+    expectGolden(runCell("mcf", Design::Thp),
+                 Golden{30000, 0, 0, 0, 0, 32},
+                 MemGolden{30000, 3334, 14, 26652, 1001207});
+}
+
+TEST(GoldenStats, McfUnderTps)
+{
+    expectGolden(runCell("mcf", Design::Tps),
+                 Golden{30000, 0, 0, 0, 0, 16383},
+                 MemGolden{30000, 3333, 7, 26660, 1001001});
 }
 
 } // namespace

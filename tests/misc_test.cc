@@ -1,13 +1,13 @@
 /**
  * @file
- * Cross-cutting tests: the skewed-TLB hierarchy option, the SMT run
- * helper, physical-memory accounting edges, and SimStats helpers.
+ * Cross-cutting tests: the skewed-TLB hierarchy option, a two-thread
+ * (SMT) engine run, physical-memory accounting edges, and SimStats helpers.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/tps_system.hh"
-#include "sim/smt.hh"
+#include "sim/engine.hh"
 #include "tlb/tlb_hierarchy.hh"
 #include "workloads/gups.hh"
 
@@ -61,9 +61,12 @@ TEST(SmtHelper, RunsTwoWorkloads)
     workloads::Gups primary(cfg);
     cfg.seed += 1000;
     workloads::Gups competitor(cfg);
-    sim::SimStats stats =
-        sim::runSmt(pm, core::makePolicy(core::Design::Thp), primary,
-                    competitor);
+    // The second workload is the SMT competitor: it shares the TLBs,
+    // walker and caches, while the stats count the primary thread.
+    sim::Engine engine(pm, core::makePolicy(core::Design::Thp));
+    engine.addWorkload(primary);
+    engine.addWorkload(competitor);
+    sim::SimStats stats = engine.run();
     EXPECT_EQ(stats.accesses, 20000u);
     // Both threads' work went through the shared MMU.
     EXPECT_GT(stats.mmu.accesses, 2 * stats.accesses);

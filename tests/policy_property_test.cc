@@ -38,6 +38,17 @@ struct Param
     bool sequential;
 };
 
+/**
+ * Print a Param by its name. Without this gtest dumps the raw bytes,
+ * i.e. the name pointer (ASLR-dependent) and the uninitialised
+ * padding, so the listed test names changed on every run.
+ */
+void
+PrintTo(const Param &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 std::unique_ptr<PagingPolicy>
 makeFor(const Param &p)
 {
