@@ -25,19 +25,23 @@ namespace tps::obs {
 
 class StatRegistry;
 
-/** The simulator phases the engine/MMU time. */
+/**
+ * The simulator phases the engine/MMU time.  The engine times whole
+ * chunks, so WorkloadNext and Translate cost two clock reads per chunk
+ * rather than per access (per access only where chunks hold one: SMT,
+ * non-batchable generators, the reference step).
+ */
 enum class ProfPhase : unsigned
 {
     Setup,        //!< workload setup (mmap + initialization planning)
-    WorkloadNext, //!< generating the next access
-    Translate,    //!< Mmu::access (includes Walk and OsFault below)
+    WorkloadNext, //!< filling a chunk from the generator
+    Translate,    //!< the translate step over a chunk: TLBs, walks,
+                  //!< faults, data-cache and cycle models
     Walk,         //!< hardware page walks inside Translate
     OsFault,      //!< OS fault handling (allocator) inside Translate
-    MemAccess,    //!< data-side cache model
-    CycleModel,   //!< timing model update
 };
 
-constexpr unsigned kProfPhaseCount = 7;
+constexpr unsigned kProfPhaseCount = 5;
 
 /** Printable phase name ("setup", "workload-next", ...). */
 const char *profPhaseName(ProfPhase p);

@@ -35,6 +35,9 @@ struct EpochPrev
     uint64_t osCycles = 0;
 };
 
+/** Primary accesses between two reads of the wall clock (deadline). */
+constexpr uint64_t kClockInterval = 4096;
+
 } // namespace
 
 double
@@ -183,30 +186,17 @@ Engine::run()
             w->setup(*this);
     }
 
-    // The fast path handles the common single-thread configuration;
-    // SMT round-robin, self-profiling (which wants the per-phase
-    // timers inside the loop) and non-batchable generators keep the
-    // reference loop.
-    bool fast = !cfg_.referencePath && workloads_.size() == 1 &&
-                !profile_ && workloads_[0]->batchable();
-    return fast ? runFast() : runReference();
-}
-
-SimStats
-Engine::runReference()
-{
     stats_ = SimStats{};
     SimStats &stats = stats_;
     stats.epochInterval = cfg_.epochAccesses;
-    unsigned n = static_cast<unsigned>(workloads_.size());
-    std::vector<bool> done(n, false);
+    workloads::Workload &primary = *workloads_[0];
+    unsigned primary_ipa = primary.info().instsPerAccess;
     uint64_t primary_accesses = 0;
-    unsigned primary_ipa = workloads_[0]->info().instsPerAccess;
 
     // The primary thread's first warmupAccesses() accesses are the
     // program initializing its memory; statistics reset afterwards so
     // the figures report steady-state behaviour.
-    uint64_t warmup_target = workloads_[0]->warmupAccesses();
+    uint64_t warmup_target = primary.warmupAccesses();
     bool in_warmup = warmup_target > 0;
 
     // Epoch sampling: take_epoch() pushes the deltas since the last
@@ -232,7 +222,7 @@ Engine::runReference()
                           stats.walkCycles, stats.faults,
                           cycle_.cycles(), os_cycles};
         // Physical-memory telemetry rides the same boundary ordinals,
-        // so its series is identical across the fast/reference paths.
+        // so its series is identical whichever step translated.
         if (memTel_)
             memTel_->sample(*as_, primary_accesses);
     };
@@ -264,10 +254,133 @@ Engine::runReference()
                            cfg_.timeoutSeconds));
     }
 
+    // A chunk holds one access wherever a batch could reorder work.
+    // Under SMT each thread takes one access per round: a competitor
+    // that allocates in its refills (gcc's mmap/munmap churn) would
+    // otherwise make those calls ahead of the primary's translations.
+    // A non-batchable generator only promises next(), and the
+    // reference step keeps its per-access boundary tests.
+    size_t threads = workloads_.size();
+    uint64_t chunk_cap = 1;
+    if (!cfg_.referencePath && threads == 1 && primary.batchable())
+        chunk_cap = std::max<uint64_t>(cfg_.chunkAccesses, 1);
+    std::vector<MemAccess> buf(chunk_cap);
+    std::vector<bool> exhausted(threads, false);
+
     bool running = true;
     while (running) {
-        for (unsigned t = 0; t < n; ++t) {
-            if (done[t])
+        // Clamp the chunk so every boundary action -- the warmup stat
+        // reset, maxAccesses stop, epoch snapshot and checker sweep --
+        // lands on the exact primary-access ordinal at which a
+        // one-access chunk takes it.
+        uint64_t limit = chunk_cap;
+        if (in_warmup) {
+            limit = std::min(limit, warmup_target - primary_accesses);
+        } else {
+            // >= comparison in the stop test: when the cap is already
+            // met (maxAccesses == 0), one more access still runs
+            // before the stop.
+            uint64_t rem = cfg_.maxAccesses > primary_accesses
+                               ? cfg_.maxAccesses - primary_accesses
+                               : 1;
+            limit = std::min(limit, rem);
+            if (cfg_.epochAccesses != 0)
+                limit = std::min(
+                    limit, cfg_.epochAccesses -
+                               (primary_accesses - eprev.accesses));
+        }
+        if (checker)
+            limit = std::min(limit, cfg_.checkEveryAccesses -
+                                        accesses_since_check);
+
+        size_t got;
+        {
+            obs::ScopedTimer timer(profile_,
+                                   obs::ProfPhase::WorkloadNext);
+            got = chunk_cap == 1
+                      ? size_t(primary.next(buf[0]))
+                      : primary.nextBatch(buf.data(),
+                                          static_cast<size_t>(limit));
+        }
+        if (got == 0) {
+            running = false;
+        } else {
+            ChunkDelta d;
+            translate(buf.data(), got, trace_time, d);
+            primary_accesses += got;
+            stats.l1TlbMisses += d.l1TlbMisses;
+            stats.l2TlbHits += d.l2TlbHits;
+            stats.stlbPenaltyCycles += d.stlbPenaltyCycles;
+            stats.tlbMisses += d.tlbMisses;
+            stats.walkCycles += d.walkCycles;
+            stats.faults += d.faults;
+
+            if (in_warmup && primary_accesses >= warmup_target) {
+                in_warmup = false;
+                stats.warmup.accesses = primary_accesses;
+                stats.warmup.cycles = cycle_.cycles();
+                stats.warmup.osCycles = as_->osWork().totalCycles();
+                stats.warmup.faults = stats.faults;
+                primary_accesses = 0;
+                stats.l1TlbMisses = 0;
+                stats.l2TlbHits = 0;
+                stats.tlbMisses = 0;
+                stats.stlbPenaltyCycles = 0;
+                stats.walkCycles = 0;
+                stats.faults = 0;
+                mmu_->clearStats();
+                memsys_.clearStats();
+                cycle_.reset();
+                // Post-Mark events are the measured phase; the trace
+                // clock itself is not reset.
+                if (trace_)
+                    trace_->mark(obs::kMarkWarmupEnd);
+                // Epoch deltas restart at the measured phase; osWork
+                // is not reset, so carry its baseline.
+                eprev = EpochPrev{};
+                eprev.osCycles = stats.warmup.osCycles;
+                // Baseline telemetry sample at the seam.
+                if (memTel_)
+                    memTel_->sample(*as_, 0);
+            } else if (!in_warmup &&
+                       primary_accesses >= cfg_.maxAccesses) {
+                running = false;
+            }
+            if (cfg_.epochAccesses != 0 && !in_warmup &&
+                primary_accesses - eprev.accesses >=
+                    cfg_.epochAccesses) {
+                take_epoch();
+            }
+            if (checker) {
+                accesses_since_check += got;
+                if (accesses_since_check >= cfg_.checkEveryAccesses) {
+                    accesses_since_check = 0;
+                    checker->throwIfBad();
+                }
+            }
+            // The wall-clock budget is inherently non-deterministic;
+            // reading the clock costs enough that it waits for
+            // kClockInterval primary accesses.
+            if (cfg_.timeoutSeconds > 0.0) {
+                accesses_since_clock += got;
+                if (accesses_since_clock >= kClockInterval) {
+                    accesses_since_clock = 0;
+                    if (std::chrono::steady_clock::now() > deadline) {
+                        throwSimError(ErrorKind::Timeout,
+                                      "cell exceeded its %.3g s "
+                                      "wall-clock budget",
+                                      cfg_.timeoutSeconds);
+                    }
+                }
+            }
+        }
+
+        // SMT round: after the primary's access, each live competitor
+        // takes one, in the final round too.  Their translations share
+        // every structure and the trace clock, but their deltas never
+        // reach the primary-thread counters.
+        for (size_t t = 1; t < threads; ++t) {
+            if (exhausted[t])
                 continue;
             MemAccess acc;
             bool more;
@@ -277,114 +390,11 @@ Engine::runReference()
                 more = workloads_[t]->next(acc);
             }
             if (!more) {
-                done[t] = true;
-                if (t == 0)
-                    running = false;
+                exhausted[t] = true;
                 continue;
             }
-            // The trace clock is the global access ordinal (any
-            // thread), 1-based, and keeps counting across the warmup
-            // boundary.
-            if (trace_)
-                trace_->setTime(++trace_time);
-            MmuAccessResult res;
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::Translate);
-                res = mmu_->access(acc.va, acc.write);
-            }
-            unsigned mem_cycles;
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::MemAccess);
-                mem_cycles = memsys_.access(res.pa);
-            }
-
-            unsigned translation = res.translationCycles;
-            switch (cfg_.timing) {
-              case TlbTimingMode::Real:
-                break;
-              case TlbTimingMode::PerfectL1:
-                translation = 0;
-                break;
-              case TlbTimingMode::PerfectL2:
-                translation = res.level == tlb::TlbHitLevel::L1
-                                  ? 0
-                                  : cfg_.mmu.stlbHitPenalty;
-                break;
-            }
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::CycleModel);
-                cycle_.onAccess(translation, mem_cycles,
-                                acc.dependsOnPrev);
-            }
-
-            if (t == 0) {
-                ++primary_accesses;
-                if (res.level != tlb::TlbHitLevel::L1) {
-                    ++stats.l1TlbMisses;
-                    if (res.level == tlb::TlbHitLevel::L2) {
-                        ++stats.l2TlbHits;
-                        stats.stlbPenaltyCycles += translation;
-                    } else {
-                        ++stats.tlbMisses;
-                        stats.walkCycles += translation;
-                    }
-                }
-                if (res.faulted)
-                    ++stats.faults;
-
-                if (in_warmup && primary_accesses >= warmup_target) {
-                    in_warmup = false;
-                    stats.warmup.accesses = primary_accesses;
-                    stats.warmup.cycles = cycle_.cycles();
-                    stats.warmup.osCycles = as_->osWork().totalCycles();
-                    stats.warmup.faults = stats.faults;
-                    primary_accesses = 0;
-                    stats.l1TlbMisses = 0;
-                    stats.l2TlbHits = 0;
-                    stats.tlbMisses = 0;
-                    stats.stlbPenaltyCycles = 0;
-                    stats.walkCycles = 0;
-                    stats.faults = 0;
-                    mmu_->clearStats();
-                    memsys_.clearStats();
-                    cycle_.reset();
-                    // Post-Mark events are the measured phase; the
-                    // trace clock itself is not reset.
-                    if (trace_)
-                        trace_->mark(obs::kMarkWarmupEnd);
-                    // Epoch deltas restart at the measured phase;
-                    // osWork is not reset, so carry its baseline.
-                    eprev = EpochPrev{};
-                    eprev.osCycles = stats.warmup.osCycles;
-                    // Baseline telemetry sample at the seam.
-                    if (memTel_)
-                        memTel_->sample(*as_, 0);
-                } else if (!in_warmup &&
-                           primary_accesses >= cfg_.maxAccesses) {
-                    running = false;
-                    done[0] = true;
-                }
-                if (cfg_.epochAccesses != 0 && !in_warmup &&
-                    primary_accesses - eprev.accesses >=
-                        cfg_.epochAccesses) {
-                    take_epoch();
-                }
-                if (checker && ++accesses_since_check >=
-                                   cfg_.checkEveryAccesses) {
-                    accesses_since_check = 0;
-                    checker->throwIfBad();
-                }
-                if (cfg_.timeoutSeconds > 0.0 &&
-                    (++accesses_since_clock & 0xfff) == 0 &&
-                    std::chrono::steady_clock::now() > deadline) {
-                    throwSimError(ErrorKind::Timeout,
-                                  "cell exceeded its %.3g s wall-clock "
-                                  "budget", cfg_.timeoutSeconds);
-                }
-            }
+            ChunkDelta ignored;
+            translate(&acc, 1, trace_time, ignored);
         }
     }
 
@@ -411,15 +421,57 @@ Engine::runReference()
     // Primary-thread walk references: in single-thread runs this is the
     // MMU total; under SMT we approximate by scaling with the primary's
     // share of walks (per-thread attribution of shared-walker refs).
-    if (workloads_.size() == 1) {
+    if (threads == 1) {
         stats.walkMemRefs = stats.mmu.walkMemRefs;
     } else {
-        double share =
-            ratio(stats.tlbMisses, stats.mmu.walks);
+        double share = ratio(stats.tlbMisses, stats.mmu.walks);
         stats.walkMemRefs = static_cast<uint64_t>(
             share * static_cast<double>(stats.mmu.walkMemRefs));
     }
     return stats;
+}
+
+void
+Engine::referenceStep(const MemAccess *acc, size_t count,
+                      uint64_t &trace_time, ChunkDelta &d)
+{
+    // The oracle: virtual TLB dispatch through Mmu::access and every
+    // guard tested per access.  It shares no code with translateChunk,
+    // so the differential suite compares two implementations.
+    for (size_t i = 0; i < count; ++i) {
+        // The trace clock is the global access ordinal (any thread),
+        // 1-based, and keeps counting across the warmup boundary.
+        if (trace_)
+            trace_->setTime(++trace_time);
+        MmuAccessResult res = mmu_->access(acc[i].va, acc[i].write);
+        unsigned mem_cycles = memsys_.access(res.pa);
+        unsigned translation = res.translationCycles;
+        switch (cfg_.timing) {
+          case TlbTimingMode::Real:
+            break;
+          case TlbTimingMode::PerfectL1:
+            translation = 0;
+            break;
+          case TlbTimingMode::PerfectL2:
+            translation = res.level == tlb::TlbHitLevel::L1
+                              ? 0
+                              : cfg_.mmu.stlbHitPenalty;
+            break;
+        }
+        cycle_.onAccess(translation, mem_cycles, acc[i].dependsOnPrev);
+        if (res.level != tlb::TlbHitLevel::L1) {
+            ++d.l1TlbMisses;
+            if (res.level == tlb::TlbHitLevel::L2) {
+                ++d.l2TlbHits;
+                d.stlbPenaltyCycles += translation;
+            } else {
+                ++d.tlbMisses;
+                d.walkCycles += translation;
+            }
+        }
+        if (res.faulted)
+            ++d.faults;
+    }
 }
 
 template <bool HasColt, bool HasSmall, int TpsKind, bool HasLarge,
@@ -431,7 +483,7 @@ Engine::translateChunk(const MemAccess *acc, size_t count,
     const TlbTimingMode timing = cfg_.timing;
     const unsigned stlb_penalty = cfg_.mmu.stlbHitPenalty;
     for (size_t i = 0; i < count; ++i) {
-        // Same trace-clock semantics as the reference loop: one tick
+        // Same trace-clock semantics as the reference step: one tick
         // per access, advanced only while a trace is attached.
         if constexpr (Traced)
             trace_->setTime(++trace_time);
@@ -463,9 +515,14 @@ Engine::translateChunk(const MemAccess *acc, size_t count,
 }
 
 void
-Engine::dispatchChunk(const MemAccess *acc, size_t count,
-                      uint64_t &trace_time, ChunkDelta &d)
+Engine::translate(const MemAccess *acc, size_t count,
+                  uint64_t &trace_time, ChunkDelta &d)
 {
+    obs::ScopedTimer timer(profile_, obs::ProfPhase::Translate);
+    if (cfg_.referencePath) {
+        referenceStep(acc, count, trace_time, d);
+        return;
+    }
     // One instantiation per (L1 structure set, traced) combination;
     // the selection runs once per chunk, not per access.
     bool traced = trace_ != nullptr;
@@ -505,191 +562,6 @@ Engine::dispatchChunk(const MemAccess *acc, size_t count,
                                                         trace_time, d);
         break;
     }
-}
-
-SimStats
-Engine::runFast()
-{
-    stats_ = SimStats{};
-    SimStats &stats = stats_;
-    stats.epochInterval = cfg_.epochAccesses;
-    workloads::Workload &wl = *workloads_[0];
-    unsigned primary_ipa = wl.info().instsPerAccess;
-    uint64_t primary_accesses = 0;
-
-    uint64_t warmup_target = wl.warmupAccesses();
-    bool in_warmup = warmup_target > 0;
-
-    EpochPrev eprev;
-    auto take_epoch = [&]() {
-        uint64_t walk_refs = mmu_->stats().walkMemRefs;
-        uint64_t os_cycles = as_->osWork().totalCycles();
-        EpochSample e;
-        e.accesses = primary_accesses - eprev.accesses;
-        e.instructions = e.accesses * (primary_ipa + 1);
-        e.cycles = cycle_.cycles() - eprev.cycles;
-        e.l1TlbMisses = stats.l1TlbMisses - eprev.l1TlbMisses;
-        e.l2TlbHits = stats.l2TlbHits - eprev.l2TlbHits;
-        e.walks = stats.tlbMisses - eprev.walks;
-        e.walkMemRefs = walk_refs - eprev.walkMemRefs;
-        e.walkCycles = stats.walkCycles - eprev.walkCycles;
-        e.faults = stats.faults - eprev.faults;
-        e.osCycles = os_cycles - eprev.osCycles;
-        stats.epochs.push_back(e);
-        eprev = EpochPrev{primary_accesses, stats.l1TlbMisses,
-                          stats.l2TlbHits, stats.tlbMisses, walk_refs,
-                          stats.walkCycles, stats.faults,
-                          cycle_.cycles(), os_cycles};
-        // Physical-memory telemetry rides the same boundary ordinals,
-        // so its series is identical across the fast/reference paths.
-        if (memTel_)
-            memTel_->sample(*as_, primary_accesses);
-    };
-
-    std::optional<check::InvariantChecker> checker;
-    if (cfg_.checkEveryAccesses != 0) {
-        check::InvariantChecker::Targets targets;
-        targets.as = as_.get();
-        targets.phys = &as_->phys();
-        targets.tlb = &mmu_->tlbs();
-        targets.exemptFrames =
-            check::InvariantChecker::externallyHeldFrames(as_->phys());
-        checker.emplace(targets);
-    }
-    uint64_t accesses_since_check = 0;
-    uint64_t trace_time = 0;
-    std::chrono::steady_clock::time_point deadline{};
-    if (cfg_.timeoutSeconds > 0.0) {
-        deadline = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(
-                           cfg_.timeoutSeconds));
-    }
-
-    uint64_t chunk_cap = cfg_.chunkAccesses != 0 ? cfg_.chunkAccesses : 1;
-    std::vector<MemAccess> buf(chunk_cap);
-
-    bool running = true;
-    while (running) {
-        // Clamp the chunk so every boundary action -- the warmup stat
-        // reset, maxAccesses stop, epoch snapshot and checker sweep --
-        // lands on the exact access ordinal at which the reference
-        // loop, which tests after every access, would take it.
-        uint64_t limit = chunk_cap;
-        if (in_warmup) {
-            limit = std::min(limit, warmup_target - primary_accesses);
-        } else {
-            // >= comparison in the stop test: when the cap is already
-            // met (maxAccesses == 0), the reference loop still runs
-            // one access before stopping.
-            uint64_t rem = cfg_.maxAccesses > primary_accesses
-                               ? cfg_.maxAccesses - primary_accesses
-                               : 1;
-            limit = std::min(limit, rem);
-            if (cfg_.epochAccesses != 0)
-                limit = std::min(
-                    limit, cfg_.epochAccesses -
-                               (primary_accesses - eprev.accesses));
-        }
-        if (checker)
-            limit = std::min(limit, cfg_.checkEveryAccesses -
-                                        accesses_since_check);
-
-        size_t got;
-        {
-            obs::ScopedTimer timer(profile_,
-                                   obs::ProfPhase::WorkloadNext);
-            got = wl.nextBatch(buf.data(),
-                               static_cast<size_t>(limit));
-        }
-        if (got == 0)
-            break;
-
-        ChunkDelta d;
-        dispatchChunk(buf.data(), got, trace_time, d);
-        primary_accesses += got;
-        stats.l1TlbMisses += d.l1TlbMisses;
-        stats.l2TlbHits += d.l2TlbHits;
-        stats.stlbPenaltyCycles += d.stlbPenaltyCycles;
-        stats.tlbMisses += d.tlbMisses;
-        stats.walkCycles += d.walkCycles;
-        stats.faults += d.faults;
-
-        if (in_warmup && primary_accesses >= warmup_target) {
-            in_warmup = false;
-            stats.warmup.accesses = primary_accesses;
-            stats.warmup.cycles = cycle_.cycles();
-            stats.warmup.osCycles = as_->osWork().totalCycles();
-            stats.warmup.faults = stats.faults;
-            primary_accesses = 0;
-            stats.l1TlbMisses = 0;
-            stats.l2TlbHits = 0;
-            stats.tlbMisses = 0;
-            stats.stlbPenaltyCycles = 0;
-            stats.walkCycles = 0;
-            stats.faults = 0;
-            mmu_->clearStats();
-            memsys_.clearStats();
-            cycle_.reset();
-            // Post-Mark events are the measured phase; the trace clock
-            // itself is not reset.
-            if (trace_)
-                trace_->mark(obs::kMarkWarmupEnd);
-            // Epoch deltas restart at the measured phase; osWork is
-            // not reset, so carry its baseline.
-            eprev = EpochPrev{};
-            eprev.osCycles = stats.warmup.osCycles;
-            // Baseline telemetry sample at the seam.
-            if (memTel_)
-                memTel_->sample(*as_, 0);
-        } else if (!in_warmup &&
-                   primary_accesses >= cfg_.maxAccesses) {
-            running = false;
-        }
-        if (cfg_.epochAccesses != 0 && !in_warmup &&
-            primary_accesses - eprev.accesses >= cfg_.epochAccesses) {
-            take_epoch();
-        }
-        if (checker) {
-            accesses_since_check += got;
-            if (accesses_since_check >= cfg_.checkEveryAccesses) {
-                accesses_since_check = 0;
-                checker->throwIfBad();
-            }
-        }
-        // The wall-clock budget is inherently non-deterministic; the
-        // fast path checks it at chunk ends instead of every 0x1000
-        // accesses.
-        if (cfg_.timeoutSeconds > 0.0 &&
-            std::chrono::steady_clock::now() > deadline) {
-            throwSimError(ErrorKind::Timeout,
-                          "cell exceeded its %.3g s wall-clock "
-                          "budget", cfg_.timeoutSeconds);
-        }
-    }
-
-    // Flush the final (possibly short) epoch.
-    if (cfg_.epochAccesses != 0 && primary_accesses > eprev.accesses)
-        take_epoch();
-
-    stats.accesses = primary_accesses;
-    stats.instructions = primary_accesses * (primary_ipa + 1);
-    stats.cycles = cycle_.cycles();
-    stats.mmu = mmu_->stats();
-    stats.walker = mmu_->walker().stats();
-    stats.memsys = memsys_.stats();
-    stats.osWork = as_->osWork();
-    stats.buddy = as_->phys().buddy().stats();
-    stats.compaction = as_->compactionStats();
-    stats.mmapCalls = mmapCalls_;
-    stats.munmapCalls = munmapCalls_;
-    if (memTel_) {
-        memTel_->sampleIfNew(*as_, primary_accesses);
-        stats.mem = memTel_->data();
-    }
-    stats.walkMemRefs = stats.mmu.walkMemRefs;
-    return stats;
 }
 
 } // namespace tps::sim

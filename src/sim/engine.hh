@@ -64,25 +64,28 @@ struct EngineConfig
     uint64_t checkEveryAccesses = 0;
     /**
      * Cooperative wall-clock budget for run() in seconds (0 = none).
-     * Checked every few thousand accesses; exceeding it aborts the cell
+     * Checked every 4096 primary accesses; exceeding it aborts the cell
      * with SimError{Timeout} so a sweep can degrade gracefully instead
      * of hanging.
      */
     double timeoutSeconds = 0.0;
     /**
-     * Force the per-access reference loop (virtual TLB dispatch, every
-     * guard tested on every access) instead of the devirtualized
-     * batched fast path.  The two produce bit-identical statistics,
-     * manifests and event traces (tests/differential_test.cc); the
-     * reference path survives as the oracle.  Deliberately excluded
-     * from manifest serialization so artifacts from either path
-     * compare byte-for-byte.
+     * Translate through the reference step (virtual TLB dispatch via
+     * Mmu::access, one-access chunks, every guard tested on every
+     * access) instead of the devirtualized translateChunk step.  Both
+     * steps run under the same boundary driver and produce
+     * bit-identical statistics, manifests and event traces
+     * (tests/differential_test.cc); the reference step survives as the
+     * oracle.  Deliberately excluded from manifest serialization so
+     * artifacts from either step compare byte-for-byte.
      */
     bool referencePath = false;
     /**
-     * Fast-path batch size: accesses translated per workload batch.
+     * Chunk size for a single batchable workload: accesses fetched per
+     * nextBatch() and translated per step call.  SMT runs, non-batchable
+     * generators and referencePath always use one-access chunks.
      * Chunks are clamped so warmup, epoch, checker and maxAccesses
-     * boundaries land on the exact access where the reference path
+     * boundaries land on the exact access where a one-access chunk
      * takes them; the value therefore affects performance only, never
      * results.  Also excluded from manifest serialization.
      */
@@ -204,7 +207,15 @@ class Engine : public AllocApi
      */
     void addWorkload(workloads::Workload &w);
 
-    /** Run to primary-thread completion; returns the statistics. */
+    /**
+     * Run to primary-thread completion; returns the statistics.  One
+     * driver pulls primary-thread chunks, hands each to the inner step
+     * (see EngineConfig::referencePath) and takes every boundary
+     * action -- warmup reset, maxAccesses stop, epoch sample, checker
+     * sweep, deadline -- on the exact primary-access ordinal.  Under
+     * SMT each live competitor then takes one access per round, the
+     * final round included.
+     */
     SimStats run();
 
     /**
@@ -236,8 +247,8 @@ class Engine : public AllocApi
      * Attach a physical-memory telemetry probe (nullptr = off), also
      * forwarded to the address space so OS policies can report
      * reservation lifecycle events.  The engine samples it at every
-     * epoch boundary (the exact ordinals the epoch series uses, on
-     * both the fast and reference paths), at the warmup/measured seam
+     * epoch boundary (the exact ordinals the epoch series uses,
+     * whichever step translates), at the warmup/measured seam
      * and at end of run; the recorded data is copied into
      * SimStats::mem.  Purely passive: simulated counters are never
      * perturbed.  The probe must outlive the engine: the address-space
@@ -255,7 +266,7 @@ class Engine : public AllocApi
     void munmap(vm::Vaddr start) override;
 
   private:
-    /** Primary-thread stat deltas accumulated over one fast-path chunk. */
+    /** Primary-thread stat deltas accumulated over one chunk. */
     struct ChunkDelta
     {
         uint64_t l1TlbMisses = 0;
@@ -266,11 +277,17 @@ class Engine : public AllocApi
         uint64_t faults = 0;
     };
 
-    /** The historical per-access loop (the differential-test oracle). */
-    SimStats runReference();
+    /**
+     * The inner step run() calls on every chunk: referenceStep under
+     * cfg.referencePath, else the translateChunk instantiation for the
+     * active design.  Timed as the profiler's "translate" phase.
+     */
+    void translate(const MemAccess *acc, size_t count,
+                   uint64_t &trace_time, ChunkDelta &delta);
 
-    /** The chunked, devirtualized loop; bit-identical to the above. */
-    SimStats runFast();
+    /** The per-access oracle step over the virtual Mmu::access. */
+    void referenceStep(const MemAccess *acc, size_t count,
+                       uint64_t &trace_time, ChunkDelta &delta);
 
     /**
      * Translate @p count batched accesses through the devirtualized
@@ -282,10 +299,6 @@ class Engine : public AllocApi
               bool Traced>
     void translateChunk(const MemAccess *acc, size_t count,
                         uint64_t &trace_time, ChunkDelta &delta);
-
-    /** Select the translateChunk instantiation for the active design. */
-    void dispatchChunk(const MemAccess *acc, size_t count,
-                       uint64_t &trace_time, ChunkDelta &delta);
 
     EngineConfig cfg_;
     MemSys memsys_;

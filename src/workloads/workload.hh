@@ -68,7 +68,7 @@ class Workload
     /**
      * True when nextBatch() emits the exact access/allocation
      * interleaving of repeated next() calls, making the generator
-     * eligible for the engine's batched fast path.
+     * eligible for the engine's multi-access chunks.
      */
     virtual bool batchable() const { return false; }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential reference-model tests for the fast translate path.
+ * Differential reference-model tests for the devirtualized translate
+ * step.
  *
- * The engine's chunked, devirtualized fast path must be bit-identical
- * to the retained virtual-dispatch reference path: not approximately
+ * The engine's chunked, devirtualized step must be bit-identical to
+ * the retained virtual-dispatch reference step: not approximately
  * equal, not equal-within-tolerance -- every statistic, every epoch
  * sample, every manifest byte, every event-trace byte.  These tests
  * sweep the full (workload x design) grid at a small scale, run each
@@ -19,6 +20,10 @@
  *     interval) produce identical epoch series.
  *  5. The equivalences hold through the ExperimentRunner at --jobs=1
  *     and --jobs=4.
+ *  6. SMT cells (one access per thread per round on either step) agree
+ *     in stats and event-trace bytes across warmup, epoch and
+ *     maxAccesses boundaries, including a competitor that runs out
+ *     before the primary.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +33,7 @@
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
+#include "obs/event_trace.hh"
 #include "obs/run_manifest.hh"
 #include "workloads/registry.hh"
 
@@ -308,6 +314,75 @@ TEST(Differential, ParanoidCheckerAgreesAcrossPaths)
     reference.referencePath = true;
     expectIdentical(runExperiment(base), runExperiment(reference),
                     "gups/tps/paranoid");
+}
+
+TEST(Differential, SmtBitIdenticalAcrossSteps)
+{
+    // The devirtualized step must reproduce the reference step's round
+    // order: the primary's access and its boundary actions, then one
+    // competitor access.  gcc's competitor mmaps and munmaps inside its
+    // refills, so any reordering moves OS events and faults.
+    for (const char *wl : {"mcf", "gcc", "xsbench"}) {
+        for (Design d : {Design::Thp, Design::Tps, Design::Colt}) {
+            for (uint64_t max : {~uint64_t(0), uint64_t(10007)}) {
+                RunOptions fast;
+                fast.workload = wl;
+                fast.design = d;
+                fast.scale = 0.01;
+                fast.physBytes = 512ull << 20;
+                fast.smt = true;
+                fast.epochAccesses = 3333;
+                fast.maxAccesses = max;
+                RunOptions reference = fast;
+                reference.referencePath = true;
+
+                obs::EventTrace fast_trace, reference_trace;
+                RunHooks fast_hooks, reference_hooks;
+                fast_hooks.trace = &fast_trace;
+                reference_hooks.trace = &reference_trace;
+                std::string what = cellName(fast) + "/smt/max=" +
+                                   std::to_string(max);
+                sim::SimStats want =
+                    runExperiment(reference, reference_hooks);
+                ASSERT_GT(want.warmup.accesses, 0u) << what;
+                expectIdentical(want, runExperiment(fast, fast_hooks),
+                                what);
+                EXPECT_EQ(obs::encodeEvents(fast_trace.events()),
+                          obs::encodeEvents(reference_trace.events()))
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(Differential, SmtCompetitorExhaustsFirst)
+{
+    // A competitor a quarter the primary's length runs out mid-run;
+    // from then on the primary runs alone, on either step.
+    auto run = [](bool reference_path) {
+        RunOptions opts;
+        opts.workload = "gups";
+        opts.design = Design::Tps;
+        opts.scale = 0.02;
+        opts.epochAccesses = 3333;
+        opts.referencePath = reference_path;
+        os::PhysMemory pm(512ull << 20);
+        sim::Engine engine(pm, makePolicy(opts.design),
+                           makeEngineConfig(opts));
+        auto primary = workloads::makeWorkload("gups", 0.02, 1);
+        auto competitor = workloads::makeWorkload("gups", 0.005, 2);
+        engine.addWorkload(*primary);
+        engine.addWorkload(*competitor);
+        sim::SimStats stats = engine.run();
+        EXPECT_EQ(stats.accesses, primary->info().defaultAccesses);
+        sim::MemAccess acc;
+        EXPECT_FALSE(competitor->next(acc));
+        EXPECT_LT(competitor->warmupAccesses() +
+                      competitor->info().defaultAccesses,
+                  stats.warmup.accesses + stats.accesses);
+        return stats;
+    };
+    expectIdentical(run(true), run(false), "gups/tps/smt/exhausted");
 }
 
 } // namespace

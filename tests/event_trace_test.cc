@@ -261,9 +261,9 @@ TEST(TraceGolden, TracingDoesNotChangeStats)
 }
 
 /**
- * With tracing ON, the fast translate path takes its slower traced
+ * With tracing ON, the devirtualized step takes its slower traced
  * instantiation -- and must still emit the exact byte sequence the
- * reference loop emits: same events, same operands, same trace-clock
+ * reference step emits: same events, same operands, same trace-clock
  * times, across every design.
  */
 TEST(TraceGolden, FastPathTraceByteIdenticalToReference)

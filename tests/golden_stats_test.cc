@@ -11,10 +11,11 @@
  *     threads (shared mutable state) or its seeds stopped being a
  *     pure function of the cell identity.
  *
- *  2. Golden values: exact counters for gups under THP and TPS at a
- *     fixed small scale.  These fail on any silent perf-model or
- *     seeding change, forcing the change to be acknowledged by
- *     updating the constants here.
+ *  2. Golden values: exact counters for gups and mcf under THP and
+ *     TPS at a fixed small scale, and for mcf and gcc with an SMT
+ *     competitor.  These fail on any silent perf-model, seeding or
+ *     engine round-order change, forcing the change to be
+ *     acknowledged by updating the constants here.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,9 @@
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
+#include "obs/event_trace.hh"
 #include "obs/run_manifest.hh"
+#include "util/rng.hh"
 
 namespace tps::core {
 namespace {
@@ -283,6 +286,130 @@ TEST(GoldenStats, McfUnderTps)
     expectGolden(runCell("mcf", Design::Tps),
                  Golden{30000, 0, 0, 0, 0, 16383},
                  MemGolden{30000, 3333, 7, 26660, 1001001});
+}
+
+/**
+ * Golden counters for SMT cells (a competing instance of the same
+ * workload shares every structure; Figs. 2 and 14).  gcc allocates and
+ * frees regions inside its refills, so its cells pin the round order:
+ * the primary's access, then one competitor access per round.  Re-pin
+ * as for the single-thread cells above.
+ */
+struct SmtGolden
+{
+    uint64_t warmupAccesses;
+    uint64_t warmupCycles;
+    uint64_t warmupFaults;
+    uint64_t accesses;
+    uint64_t l1TlbMisses;
+    uint64_t l2TlbHits;
+    uint64_t tlbMisses;
+    uint64_t walkCycles;
+    uint64_t stlbPenaltyCycles;
+    uint64_t faults;
+    uint64_t walkMemRefs;
+    uint64_t cycles;
+    uint64_t mmapCalls;
+    uint64_t munmapCalls;
+};
+
+sim::SimStats
+runSmtCell(const char *workload, Design d,
+           obs::EventTrace *trace = nullptr)
+{
+    RunOptions opts;
+    opts.workload = workload;
+    opts.design = d;
+    opts.scale = 0.02;
+    opts.physBytes = 512ull << 20;
+    opts.smt = true;
+    RunHooks hooks;
+    hooks.trace = trace;
+    return runExperiment(opts, hooks);
+}
+
+void
+expectSmtGolden(const sim::SimStats &s, const SmtGolden &g,
+                const MemGolden &m)
+{
+    EXPECT_EQ(s.warmup.accesses, g.warmupAccesses);
+    EXPECT_EQ(s.warmup.cycles, g.warmupCycles);
+    EXPECT_EQ(s.warmup.faults, g.warmupFaults);
+    EXPECT_EQ(s.accesses, g.accesses);
+    EXPECT_EQ(s.l1TlbMisses, g.l1TlbMisses);
+    EXPECT_EQ(s.l2TlbHits, g.l2TlbHits);
+    EXPECT_EQ(s.tlbMisses, g.tlbMisses);
+    EXPECT_EQ(s.walkCycles, g.walkCycles);
+    EXPECT_EQ(s.stlbPenaltyCycles, g.stlbPenaltyCycles);
+    EXPECT_EQ(s.faults, g.faults);
+    EXPECT_EQ(s.walkMemRefs, g.walkMemRefs);
+    EXPECT_EQ(s.cycles, g.cycles);
+    EXPECT_EQ(s.mmapCalls, g.mmapCalls);
+    EXPECT_EQ(s.munmapCalls, g.munmapCalls);
+    EXPECT_EQ(s.memsys.accesses, m.accesses);
+    EXPECT_EQ(s.memsys.l1Hits, m.l1Hits);
+    EXPECT_EQ(s.memsys.llcHits, m.llcHits);
+    EXPECT_EQ(s.memsys.dramAccesses, m.dramAccesses);
+    EXPECT_EQ(s.cycles, m.cycles);
+}
+
+TEST(GoldenStats, McfSmtUnderThp)
+{
+    expectSmtGolden(runSmtCell("mcf", Design::Thp),
+                    SmtGolden{16384, 437725, 16384, 30000, 13390, 13360,
+                              30, 316, 120240, 0, 30, 2068346, 2, 0},
+                    MemGolden{60065, 6730, 3, 53332, 2068346});
+}
+
+TEST(GoldenStats, McfSmtUnderTps)
+{
+    expectSmtGolden(runSmtCell("mcf", Design::Tps),
+                    SmtGolden{16384, 441655, 16384, 30000, 0, 0, 0, 0, 0,
+                              0, 0, 2002217, 2, 0},
+                    MemGolden{60006, 6671, 4, 53331, 2002217});
+}
+
+TEST(GoldenStats, GccSmtUnderThp)
+{
+    expectSmtGolden(runSmtCell("gcc", Design::Thp),
+                    SmtGolden{1638, 57322, 1638, 30000, 3902, 2017, 1885,
+                              71844, 18153, 819, 2514, 636365, 330, 10},
+                    MemGolden{66709, 20278, 7286, 39145, 636365});
+}
+
+TEST(GoldenStats, GccSmtUnderTps)
+{
+    expectSmtGolden(runSmtCell("gcc", Design::Tps),
+                    SmtGolden{1638, 55565, 1638, 30000, 1840, 344, 1496,
+                              75296, 3096, 924, 2728, 683841, 328, 8},
+                    MemGolden{67202, 17617, 5893, 43692, 683841});
+}
+
+/**
+ * The traced gcc SMT pair: the encoded event stream (both threads'
+ * events on one trace clock) is pinned by size and hash, and tracing
+ * leaves the counters untouched.
+ */
+TEST(GoldenStats, GccSmtTraceBytes)
+{
+    struct TraceGolden
+    {
+        Design design;
+        size_t bytes;
+        uint64_t hash;
+    };
+    for (const TraceGolden &g :
+         {TraceGolden{Design::Thp, 336118, 8373580575617991817ull},
+          TraceGolden{Design::Tps, 320644, 15930450627095495307ull}}) {
+        obs::EventTrace trace;
+        sim::SimStats traced = runSmtCell("gcc", g.design, &trace);
+        EXPECT_EQ(traced.toJson().dump(),
+                  runSmtCell("gcc", g.design).toJson().dump())
+            << designName(g.design);
+        std::string blob = obs::encodeEvents(trace.events());
+        EXPECT_EQ(blob.size(), g.bytes) << designName(g.design);
+        EXPECT_EQ(stableHash64(blob), g.hash) << designName(g.design);
+    }
 }
 
 } // namespace

@@ -270,7 +270,7 @@ TEST(StatRegistry, RegistryMatchesSimStatsBitForBit)
     // The snapshot path binds the same names to the same values.
     StatRegistry snap;
     bindSimStats(snap, &stats);
-    for (const std::string &name :
+    for (const char *name :
          {"engine.accesses", "engine.l1TlbMisses", "engine.walks",
           "mmu.l1.misses", "mmu.walker.walks", "memsys.accesses",
           "os.work.totalCycles"}) {

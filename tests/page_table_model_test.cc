@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "util/rng.hh"
 #include "vm/mmu_cache.hh"
@@ -77,6 +78,17 @@ struct ModelParam
     unsigned maxPageBits;
     const char *name;
 };
+
+/**
+ * Print a ModelParam by its name. Without this gtest dumps the raw
+ * bytes, including the name pointer (ASLR-dependent), so the listed
+ * test names changed from one build to the next.
+ */
+void
+PrintTo(const ModelParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class PageTableModel : public ::testing::TestWithParam<ModelParam>
 {

@@ -121,14 +121,20 @@ TEST(GuardedSweep, SuccessUsesOneAttempt)
 
 TEST(GuardedSweep, TimeoutBecomesTimeoutStatus)
 {
+    // The single-thread cell and the SMT cell (one-access chunks) both
+    // reach the deadline through the engine's shared clock rule.
     core::RunOptions opts = smallRun();
     opts.cellTimeoutSeconds = 1e-9;
+    core::RunOptions smt = opts;
+    smt.smt = true;
     core::ExperimentRunner runner(1);
-    std::vector<core::CellOutcome> out = runner.runGuarded({opts});
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].status, core::CellStatus::Timeout);
-    EXPECT_EQ(out[0].errorKind, "timeout");
-    EXPECT_NE(out[0].error.find("wall-clock"), std::string::npos);
+    std::vector<core::CellOutcome> out = runner.runGuarded({opts, smt});
+    ASSERT_EQ(out.size(), 2u);
+    for (const core::CellOutcome &cell : out) {
+        EXPECT_EQ(cell.status, core::CellStatus::Timeout);
+        EXPECT_EQ(cell.errorKind, "timeout");
+        EXPECT_NE(cell.error.find("wall-clock"), std::string::npos);
+    }
 }
 
 TEST(JsonParser, RoundTripsManifestShapedTrees)
