@@ -31,18 +31,18 @@ thresholdSweep(const FigOptions &opts, const std::string &wl)
         run.tpsThreshold = threshold;
         cells.push_back(run);
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    std::vector<core::Census> census;
+    auto stats = runCells(opts, cells, &census);
 
     Table table({"threshold", "L1 miss rate", "walk refs",
                  "committed bytes", "pages"});
     for (size_t i = 0; i < thresholds.size(); ++i) {
-        const CensusRun &res = runs[i];
         table.addRow({fmtPercent(100.0 * thresholds[i]),
-                      fmtPercent(percent(res.stats.l1TlbMisses,
-                                         res.stats.accesses)),
-                      fmtCount(res.stats.walkMemRefs),
-                      fmtSize(res.mappedBytes),
-                      fmtCount(res.pageSizes.total())});
+                      fmtPercent(percent(stats[i].l1TlbMisses,
+                                         stats[i].accesses)),
+                      fmtCount(stats[i].walkMemRefs),
+                      fmtSize(census[i].mappedBytes()),
+                      fmtCount(census[i].pageSizes.total())});
     }
     table.print(std::cout);
     std::printf("\n");
@@ -60,20 +60,19 @@ aliasModes(const FigOptions &opts, const std::string &wl)
         run.aliasMode = mode;
         cells.push_back(run);
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    auto stats = runCells(opts, cells);
 
     Table table({"mode", "walk refs", "alias extra refs",
                  "PTE writes", "alias writes"});
     for (size_t i = 0; i < modes.size(); ++i) {
-        const CensusRun &res = runs[i];
         table.addRow(
             {modes[i] == vm::AliasMode::Pointer ? "pointer"
                                                 : "full-copy",
-             fmtCount(res.stats.walkMemRefs),
-             fmtCount(res.stats.walker.aliasExtra),
-             fmtCount(res.stats.osWork.pteCycles /
+             fmtCount(stats[i].walkMemRefs),
+             fmtCount(stats[i].walker.aliasExtra),
+             fmtCount(stats[i].osWork.pteCycles /
                       os::oscost::kPteWrite),
-             fmtCount(res.stats.osWork.promotions)});
+             fmtCount(stats[i].osWork.promotions)});
     }
     table.print(std::cout);
     std::printf("\n");

@@ -30,24 +30,22 @@ main(int argc, char **argv)
         cells.push_back(makeRun(opts, wl, core::Design::Base4k));
         cells.push_back(makeRun(opts, wl, core::Design::Tps));
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    std::vector<core::Census> census;
+    runCells(opts, cells, &census);
 
     Table table({"benchmark", "4K bytes", "2M-only bytes", "increase",
                  "tps increase"});
     Summary sum;
     for (size_t i = 0; i < list.size(); ++i) {
         const auto &wl = list[i];
-        const CensusRun &base = runs[2 * i];
-        const CensusRun &tps = runs[2 * i + 1];
+        const core::Census &base = census[2 * i];
+        uint64_t tps_bytes = census[2 * i + 1].mappedBytes();
 
-        uint64_t bytes_4k = base.mappedBytes;
+        uint64_t bytes_4k = base.mappedBytes();
         uint64_t bytes_2m = base.chunks2m << vm::kPageBits2M;
         double increase = percent(bytes_2m - bytes_4k, bytes_4k);
-        double tps_increase =
-            percent(tps.mappedBytes > bytes_4k
-                        ? tps.mappedBytes - bytes_4k
-                        : 0,
-                    bytes_4k);
+        double tps_increase = percent(
+            tps_bytes > bytes_4k ? tps_bytes - bytes_4k : 0, bytes_4k);
         sum.add(increase);
         table.addRow({wl, fmtSize(bytes_4k), fmtSize(bytes_2m),
                       fmtPercent(increase), fmtPercent(tps_increase)});

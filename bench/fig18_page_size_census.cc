@@ -28,12 +28,13 @@ main(int argc, char **argv)
     std::vector<core::RunOptions> cells;
     for (const auto &wl : list)
         cells.push_back(makeRun(opts, wl, core::Design::Tps));
-    std::vector<CensusRun> runs = runCellsWithCensus(opts, cells);
+    std::vector<core::Census> census;
+    runCells(opts, cells, &census);
 
     // Columns: one per page size that appears anywhere.
     std::set<uint64_t> sizes;
-    for (const auto &run : runs)
-        for (const auto &[pb, count] : run.pageSizes.buckets())
+    for (const auto &c : census)
+        for (const auto &[pb, count] : c.pageSizes.buckets())
             if (count > 0)
                 sizes.insert(pb);
 
@@ -46,10 +47,10 @@ main(int argc, char **argv)
     for (size_t i = 0; i < list.size(); ++i) {
         std::vector<std::string> row{list[i]};
         for (uint64_t pb : sizes) {
-            uint64_t count = runs[i].pageSizes.at(pb);
+            uint64_t count = census[i].pageSizes.at(pb);
             row.push_back(count == 0 ? "." : fmtCount(count));
         }
-        row.push_back(fmtCount(runs[i].pageSizes.total()));
+        row.push_back(fmtCount(census[i].pageSizes.total()));
         table.addRow(std::move(row));
     }
     printTable(opts, table);

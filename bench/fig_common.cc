@@ -6,19 +6,17 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 
 #include "obs/event_trace.hh"
-#include "obs/mem_telemetry.hh"
 #include "obs/profile.hh"
 #include "obs/resume.hh"
 #include "obs/stats_bindings.hh"
 #include "sim/perf_model.hh"
 #include "util/logging.hh"
-#include "util/sim_error.hh"
 #include "workloads/registry.hh"
 
 namespace tps::bench {
@@ -41,14 +39,11 @@ struct BenchContext
     std::vector<obs::CellArtifact> artifacts;
     obs::ResumeLog resume;
     bool resumeActive = false;
-    unsigned retries = 0;
     //! --shard: the full planned grid plus this process's slice.
     obs::ShardPlan plan;
-    //! --event-trace: per-cell event traces collected by runCells.
-    bool traceRequested = false;
+    //! --event-trace: the executed cells' event traces.
     std::vector<obs::TraceCell> traceCells;
     //! --profile: sweep-wide simulator self-profile totals.
-    bool profileRequested = false;
     obs::ProfileRegistry profileTotal;
 };
 
@@ -100,6 +95,53 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 using core::cellLabel;
 
+/** The guarded-cell policy the command line asks for. */
+core::SweepPolicy
+sweepPolicy(const FigOptions &opts)
+{
+    core::SweepPolicy policy;
+    policy.retries = opts.retries;
+    policy.eventTrace = !opts.eventTracePath.empty();
+    policy.profile = opts.profile;
+    return policy;
+}
+
+/**
+ * Turn one executed cell's outcome into its manifest artifact: print
+ * the failure line, and collect the cell's event trace and profile.
+ * The trace container sorts cells by (label, seed), so the on-disk
+ * trace is byte-stable across --jobs counts and sweep scheduling.
+ */
+obs::CellArtifact
+absorbOutcome(const core::RunOptions &run, core::CellOutcome &out)
+{
+    obs::CellArtifact cell;
+    cell.options = run;
+    cell.stats = std::move(out.stats);
+    cell.status = out.status;
+    cell.error = std::move(out.error);
+    cell.errorKind = std::move(out.errorKind);
+    cell.attempts = out.attempts;
+    cell.wallSeconds = out.seconds;
+    if (cell.status != core::CellStatus::Ok) {
+        std::fprintf(stderr, "cell %s %s after %u attempt(s): %s\n",
+                     cellLabel(run).c_str(),
+                     core::cellStatusName(cell.status), cell.attempts,
+                     cell.error.c_str());
+    }
+    if (out.trace || out.profile) {
+        std::lock_guard<std::mutex> lock(g_bench.mu);
+        if (out.trace) {
+            g_bench.traceCells.push_back(
+                obs::TraceCell{cellLabel(run), core::runSeed(run),
+                               out.trace->takeEvents()});
+        }
+        if (out.profile)
+            g_bench.profileTotal.merge(*out.profile);
+    }
+    return cell;
+}
+
 } // namespace
 
 void
@@ -111,10 +153,7 @@ initBench(const std::string &name, const FigOptions &opts)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count();
-    g_bench.retries = opts.retries;
     g_bench.plan = obs::ShardPlan(opts.shard);
-    g_bench.traceRequested = !opts.eventTracePath.empty();
-    g_bench.profileRequested = opts.profile;
     if (!opts.tracePath.empty() || opts.progress ||
         !opts.heartbeatPath.empty()) {
         obs::SweepMonitor::Config mcfg;
@@ -152,17 +191,6 @@ obs::ShardPlan &
 shardPlan()
 {
     return g_bench.plan;
-}
-
-void
-recordRun(const core::RunOptions &run, const sim::SimStats &stats,
-          double wallSeconds)
-{
-    obs::CellArtifact cell;
-    cell.options = run;
-    cell.stats = stats;
-    cell.wallSeconds = wallSeconds;
-    recordArtifact(std::move(cell));
 }
 
 void
@@ -210,8 +238,8 @@ finishBench(const FigOptions &opts)
         std::lock_guard<std::mutex> lock(g_bench.mu);
         if (g_bench.traceCells.empty()) {
             tps_warn("--event-trace=%s: no cells were traced (resumed "
-                     "cells and speedup pipelines record no events); "
-                     "writing an empty container",
+                     "cells record no events); writing an empty "
+                     "container",
                      opts.eventTracePath.c_str());
         }
         size_t n = g_bench.traceCells.size();
@@ -492,56 +520,10 @@ elimPercent(uint64_t baseline, uint64_t with)
     return e < 0.0 ? 0.0 : e;
 }
 
-CensusRun
-runWithCensus(const core::RunOptions &opts)
-{
-    os::PhysMemory pm(core::effectivePhysBytes(opts), opts.denseState);
-    std::optional<os::Fragmenter> fragmenter;
-    if (opts.fragmented) {
-        fragmenter.emplace(pm, opts.fragmenter);
-        fragmenter->run();
-    }
-
-    sim::EngineConfig ecfg = core::makeEngineConfig(opts);
-
-    // Same per-cell seed as core::runExperiment so a census run and a
-    // stats run of the same cell see the same access stream.
-    auto workload = workloads::makeWorkload(opts.workload, opts.scale,
-                                            core::runSeed(opts),
-                                            opts.footprintBytes);
-
-    // Census runs bypass core::runExperiment, so attach the telemetry
-    // probe here.  Declared before the engine (teardown unmaps still
-    // fire the hooks) and attached before addWorkload so eager-policy
-    // reservations get birth stamps.
-    std::optional<obs::MemTelemetry> tel;
-    sim::Engine engine(
-        pm, core::makePolicy(opts.design, opts.tpsThreshold), ecfg);
-    if (opts.memTelemetry)
-        engine.setMemTelemetry(&tel.emplace());
-    engine.addWorkload(*workload);
-
-    CensusRun out;
-    out.stats = engine.run();
-    out.pageSizes = engine.addressSpace().pageSizeCensus();
-    out.mappedBytes = engine.addressSpace().mappedBytes();
-    out.touchedPages = engine.addressSpace().touchedBasePages();
-    std::set<uint64_t> chunks;
-    engine.addressSpace().pageTable().forEachLeaf(
-        [&](vm::Vaddr base, const vm::LeafInfo &leaf) {
-            uint64_t first = base >> vm::kPageBits2M;
-            uint64_t last = (base + (1ull << leaf.pageBits) - 1) >>
-                            vm::kPageBits2M;
-            for (uint64_t c = first; c <= last; ++c)
-                chunks.insert(c);
-        });
-    out.chunks2m = chunks.size();
-    return out;
-}
-
 std::vector<sim::SimStats>
 runCells(const FigOptions &opts,
-         const std::vector<core::RunOptions> &cells)
+         const std::vector<core::RunOptions> &cells,
+         std::vector<core::Census> *census)
 {
     // Plan every cell (all shards register the full grid, so the
     // fingerprints match), then keep only the owned slice.  Unowned
@@ -552,15 +534,16 @@ runCells(const FigOptions &opts,
         owned[i] = g_bench.plan.planCell(cells[i]);
     syncShardMonitor();
 
-    // Restore completed cells from the prior manifest; only the rest
-    // go to the pool.
+    // Restore completed cells from the prior manifest (census cells
+    // excepted: it stores no census); only the rest go to the pool.
     std::vector<obs::CellArtifact> arts(cells.size());
     std::vector<core::RunOptions> to_run;
     std::vector<size_t> to_run_idx;
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!owned[i])
             continue;
-        if (const obs::Json *pure = resumeLookup(cells[i])) {
+        const obs::Json *pure = census ? nullptr : resumeLookup(cells[i]);
+        if (pure) {
             arts[i] = restoredArtifact(cells[i], *pure);
         } else {
             to_run.push_back(cells[i]);
@@ -570,44 +553,16 @@ runCells(const FigOptions &opts,
 
     core::ExperimentRunner runner(opts.jobs);
     runner.setMonitor(sweepMonitor());
-    core::SweepPolicy policy;
-    policy.retries = opts.retries;
-    policy.eventTrace = g_bench.traceRequested;
-    policy.profile = g_bench.profileRequested;
+    core::SweepPolicy policy = sweepPolicy(opts);
+    policy.census = census != nullptr;
     std::vector<core::CellOutcome> outcomes =
         runner.runGuarded(to_run, policy);
+    if (census)
+        census->assign(cells.size(), core::Census{});
     for (size_t j = 0; j < outcomes.size(); ++j) {
-        obs::CellArtifact &cell = arts[to_run_idx[j]];
-        core::CellOutcome &out = outcomes[j];
-        cell.options = to_run[j];
-        cell.stats = std::move(out.stats);
-        cell.status = out.status;
-        cell.error = std::move(out.error);
-        cell.errorKind = std::move(out.errorKind);
-        cell.attempts = out.attempts;
-        cell.wallSeconds = out.seconds;
-        if (cell.status != core::CellStatus::Ok) {
-            std::fprintf(stderr,
-                         "cell %s %s after %u attempt(s): %s\n",
-                         cellLabel(cell.options).c_str(),
-                         core::cellStatusName(cell.status),
-                         cell.attempts, cell.error.c_str());
-        }
-        // Collect per-cell observability; the container writer sorts
-        // cells by (label, seed), so the on-disk trace is byte-stable
-        // across --jobs counts and sweep scheduling.  (Cells restored
-        // by --resume were not re-run, so they contribute no trace.)
-        if (out.trace || out.profile) {
-            std::lock_guard<std::mutex> lock(g_bench.mu);
-            if (out.trace) {
-                g_bench.traceCells.push_back(
-                    obs::TraceCell{cellLabel(to_run[j]),
-                                   core::runSeed(to_run[j]),
-                                   out.trace->takeEvents()});
-            }
-            if (out.profile)
-                g_bench.profileTotal.merge(*out.profile);
-        }
+        arts[to_run_idx[j]] = absorbOutcome(to_run[j], outcomes[j]);
+        if (census)
+            (*census)[to_run_idx[j]] = std::move(*outcomes[j].census);
     }
 
     // Record in input order so the manifest layout is independent of
@@ -621,90 +576,6 @@ runCells(const FigOptions &opts,
             recordArtifact(std::move(arts[i]));
     }
     return stats;
-}
-
-std::vector<CensusRun>
-runCellsWithCensus(const FigOptions &opts,
-                   const std::vector<core::RunOptions> &cells)
-{
-    // Census cells always execute, even with --resume: the manifest
-    // stores only the stats, not the end-of-run page-table census.
-    std::vector<bool> owned(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-        owned[i] = g_bench.plan.planCell(cells[i]);
-    syncShardMonitor();
-    std::vector<core::RunOptions> to_run;
-    std::vector<size_t> to_run_idx;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (owned[i]) {
-            to_run.push_back(cells[i]);
-            to_run_idx.push_back(i);
-        }
-    }
-
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    struct Guarded
-    {
-        CensusRun run;
-        obs::CellArtifact cell;
-    };
-    unsigned retries = opts.retries;
-    auto out = runner.map(
-        to_run,
-        [retries](const core::RunOptions &cell_opts) {
-            auto t0 = std::chrono::steady_clock::now();
-            Guarded r;
-            r.cell.options = cell_opts;
-            for (unsigned attempt = 0; attempt <= retries; ++attempt) {
-                r.cell.attempts = attempt + 1;
-                try {
-                    r.run = runWithCensus(cell_opts);
-                    r.cell.stats = r.run.stats;
-                    r.cell.status = core::CellStatus::Ok;
-                    r.cell.error.clear();
-                    r.cell.errorKind.clear();
-                    break;
-                } catch (const SimError &e) {
-                    r.run = CensusRun{};
-                    r.cell.stats = sim::SimStats{};
-                    r.cell.status = e.kind() == ErrorKind::Timeout
-                                        ? core::CellStatus::Timeout
-                                        : core::CellStatus::Failed;
-                    r.cell.error = e.what();
-                    r.cell.errorKind = errorKindName(e.kind());
-                } catch (const std::exception &e) {
-                    r.run = CensusRun{};
-                    r.cell.stats = sim::SimStats{};
-                    r.cell.status = core::CellStatus::Failed;
-                    r.cell.error = e.what();
-                    r.cell.errorKind = "exception";
-                }
-            }
-            r.cell.wallSeconds = secondsSince(t0);
-            if (obs::SweepMonitor *monitor = sweepMonitor()) {
-                monitor->annotate(r.cell.attempts, r.cell.errorKind,
-                                  r.cell.wallSeconds * 1e3);
-            }
-            return r;
-        },
-        [](const core::RunOptions &cell, size_t) {
-            return cellLabel(cell);
-        });
-    // Index-aligned with the input grid; unowned cells stay default.
-    std::vector<CensusRun> runs(cells.size());
-    for (size_t j = 0; j < out.size(); ++j) {
-        if (out[j].cell.status != core::CellStatus::Ok) {
-            std::fprintf(stderr,
-                         "cell %s %s after %u attempt(s): %s\n",
-                         cellLabel(to_run[j]).c_str(),
-                         core::cellStatusName(out[j].cell.status),
-                         out[j].cell.attempts, out[j].cell.error.c_str());
-        }
-        recordArtifact(std::move(out[j].cell));
-        runs[to_run_idx[j]] = std::move(out[j].run);
-    }
-    return runs;
 }
 
 std::vector<SpeedupRow>
@@ -743,8 +614,9 @@ computeAllSpeedups(const FigOptions &opts,
                 r.row = computeSpeedups(opts, wl, smt, &r.artifacts);
             } catch (const std::exception &e) {
                 // One benchmark's pipeline failing must not sink the
-                // sweep: report a NaN row; its completed cells stay in
-                // r.artifacts so a --resume rerun can skip them.
+                // sweep: report a NaN row.  Its completed cells and the
+                // failed one stay in r.artifacts, so the manifest shows
+                // the failure and a --resume rerun skips the rest.
                 std::fprintf(stderr,
                              "speedup pipeline for %s failed: %s\n",
                              wl.c_str(), e.what());
@@ -776,27 +648,30 @@ computeSpeedups(const FigOptions &opts, const std::string &wl, bool smt,
     };
 
     // One pipeline step: restore from the prior manifest when --resume
-    // has the cell, else run; trace a (nested) span, keep the artifact.
+    // has the cell, else run it guarded in a (nested) span.  The
+    // artifact is kept either way; a failed cell then ends the pipeline.
+    const core::SweepPolicy policy = sweepPolicy(opts);
     auto step = [&](const core::RunOptions &run) {
+        obs::CellArtifact cell;
         if (const obs::Json *pure = resumeLookup(run)) {
-            obs::CellArtifact cell = restoredArtifact(run, *pure);
-            sim::SimStats s = cell.stats;
-            if (artifacts)
-                artifacts->push_back(std::move(cell));
-            return s;
+            cell = restoredArtifact(run, *pure);
+        } else {
+            obs::SweepMonitor *monitor = sweepMonitor();
+            if (monitor)
+                monitor->addPlanned(1);
+            obs::SweepMonitor::Scope span(monitor, cellLabel(run));
+            core::CellOutcome out =
+                core::runCellGuarded(run, policy, monitor);
+            cell = absorbOutcome(run, out);
         }
-        obs::SweepMonitor *monitor = sweepMonitor();
-        if (monitor)
-            monitor->addPlanned(1);
-        obs::SweepMonitor::Scope span(monitor, cellLabel(run));
-        auto t0 = std::chrono::steady_clock::now();
-        sim::SimStats s = core::runExperiment(run);
-        if (artifacts) {
-            obs::CellArtifact cell;
-            cell.options = run;
-            cell.stats = s;
-            cell.wallSeconds = secondsSince(t0);
+        sim::SimStats s = cell.stats;
+        core::CellStatus status = cell.status;
+        if (artifacts)
             artifacts->push_back(std::move(cell));
+        if (status == core::CellStatus::Failed ||
+            status == core::CellStatus::Timeout) {
+            throw std::runtime_error(cellLabel(run) + " " +
+                                     core::cellStatusName(status));
         }
         return s;
     };

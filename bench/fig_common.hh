@@ -89,10 +89,6 @@ obs::SweepMonitor *sweepMonitor();
  */
 obs::ShardPlan &shardPlan();
 
-/** Record one completed run for the --stats-json manifest. */
-void recordRun(const core::RunOptions &run, const sim::SimStats &stats,
-               double wallSeconds);
-
 /** Record a full cell artifact (failed, restored, or fresh). */
 void recordArtifact(obs::CellArtifact cell);
 
@@ -124,19 +120,6 @@ core::RunOptions makeSmtRun(const FigOptions &opts,
 /** Elimination percent clamped at zero (the paper reports >= 0). */
 double elimPercent(uint64_t baseline, uint64_t with);
 
-/** A run that also captures end-of-run address-space state. */
-struct CensusRun
-{
-    sim::SimStats stats;
-    Histogram pageSizes;       //!< log2(size) -> mapped page count
-    uint64_t mappedBytes = 0;  //!< committed bytes incl. bloat
-    uint64_t touchedPages = 0; //!< demand-touched base pages
-    uint64_t chunks2m = 0;     //!< distinct 2 MB chunks with a mapping
-};
-
-/** Like core::runExperiment but keeps the page-table census. */
-CensusRun runWithCensus(const core::RunOptions &opts);
-
 /**
  * Run every cell on an opts.jobs-wide ExperimentRunner; the result is
  * index-aligned with @p cells.  Output is bit-identical for any job
@@ -150,14 +133,16 @@ CensusRun runWithCensus(const core::RunOptions &opts);
  * skipped entirely (zeroed stats, no manifest entry, no resume
  * lookup); the union of all shards' manifests is exactly the full
  * grid.
+ *
+ * With @p census non-null it receives each cell's end-of-run
+ * core::Census, index-aligned (empty for failed and unowned cells).
+ * Census cells always execute, even under --resume: the manifest
+ * stores no census.
  */
-std::vector<sim::SimStats> runCells(const FigOptions &opts,
-                                    const std::vector<core::RunOptions> &cells);
-
-/** Parallel runWithCensus over @p cells, index-aligned. */
-std::vector<CensusRun>
-runCellsWithCensus(const FigOptions &opts,
-                   const std::vector<core::RunOptions> &cells);
+std::vector<sim::SimStats>
+runCells(const FigOptions &opts,
+         const std::vector<core::RunOptions> &cells,
+         std::vector<core::Census> *census = nullptr);
 
 /** One benchmark's Fig. 13/14 speedup estimates. */
 struct SpeedupRow
@@ -173,7 +158,10 @@ struct SpeedupRow
  * Run the paper's Sec. IV-B estimation pipeline for one benchmark:
  * measure the THP baseline (real, perfect-L2, perfect-L1 timing and
  * the THP-off calibration point), measure each design's miss/walk
- * eliminations, and apply the analytic model.
+ * eliminations, and apply the analytic model.  Each cell runs guarded
+ * like a runCells cell; one that still fails after opts.retries
+ * re-attempts is recorded and then aborts the pipeline with an
+ * exception.
  *
  * @param smt        Run every configuration with a competing SMT
  *                   thread (Figure 14) instead of alone (Figure 13).

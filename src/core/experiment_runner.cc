@@ -6,6 +6,57 @@
 
 namespace tps::core {
 
+CellOutcome
+runCellGuarded(const RunOptions &opts, const SweepPolicy &policy,
+               obs::SweepMonitor *monitor)
+{
+    CellOutcome out;
+    if (policy.eventTrace)
+        out.trace = std::make_unique<obs::EventTrace>();
+    if (policy.profile)
+        out.profile = std::make_unique<obs::ProfileRegistry>();
+    if (policy.census)
+        out.census = std::make_unique<Census>();
+    RunHooks hooks{.trace = out.trace.get(),
+                   .profile = out.profile.get(),
+                   .census = out.census.get()};
+    auto start = std::chrono::steady_clock::now();
+    for (unsigned attempt = 0; attempt <= policy.retries; ++attempt) {
+        out.attempts = attempt + 1;
+        // A retry re-records from scratch; on final failure the
+        // partial trace is kept for post-mortem inspection.
+        if (out.trace)
+            out.trace->clear();
+        try {
+            out.stats = runExperiment(opts, hooks);
+            out.status = CellStatus::Ok;
+            out.error.clear();
+            out.errorKind.clear();
+            break;
+        } catch (const SimError &e) {
+            out.stats = sim::SimStats{};
+            out.status = e.kind() == ErrorKind::Timeout
+                             ? CellStatus::Timeout
+                             : CellStatus::Failed;
+            out.error = e.what();
+            out.errorKind = errorKindName(e.kind());
+        } catch (const std::exception &e) {
+            out.stats = sim::SimStats{};
+            out.status = CellStatus::Failed;
+            out.error = e.what();
+            out.errorKind = "exception";
+        }
+    }
+    out.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    // Still inside the caller's span: stamp its trace-event args so
+    // retried, failed and slow cells stand out in the timeline.
+    if (monitor)
+        monitor->annotate(out.attempts, out.errorKind, out.seconds * 1e3);
+    return out;
+}
+
 std::vector<sim::SimStats>
 ExperimentRunner::run(const std::vector<RunOptions> &cells)
 {
@@ -25,51 +76,7 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
     return map(
         cells,
         [policy, monitor](const RunOptions &opts) {
-            CellOutcome out;
-            if (policy.eventTrace)
-                out.trace = std::make_unique<obs::EventTrace>();
-            if (policy.profile)
-                out.profile = std::make_unique<obs::ProfileRegistry>();
-            RunHooks hooks{out.trace.get(), out.profile.get()};
-            auto start = std::chrono::steady_clock::now();
-            for (unsigned attempt = 0; attempt <= policy.retries;
-                 ++attempt) {
-                out.attempts = attempt + 1;
-                // A retry re-records from scratch; on final failure the
-                // partial trace is kept for post-mortem inspection.
-                if (out.trace)
-                    out.trace->clear();
-                try {
-                    out.stats = runExperiment(opts, hooks);
-                    out.status = CellStatus::Ok;
-                    out.error.clear();
-                    out.errorKind.clear();
-                    break;
-                } catch (const SimError &e) {
-                    out.stats = sim::SimStats{};
-                    out.status = e.kind() == ErrorKind::Timeout
-                                     ? CellStatus::Timeout
-                                     : CellStatus::Failed;
-                    out.error = e.what();
-                    out.errorKind = errorKindName(e.kind());
-                } catch (const std::exception &e) {
-                    out.stats = sim::SimStats{};
-                    out.status = CellStatus::Failed;
-                    out.error = e.what();
-                    out.errorKind = "exception";
-                }
-            }
-            out.seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            // Still inside the map() span: stamp its trace-event args
-            // so retried, failed and slow cells stand out in the
-            // timeline.
-            if (monitor)
-                monitor->annotate(out.attempts, out.errorKind,
-                                  out.seconds * 1e3);
-            return out;
+            return runCellGuarded(opts, policy, monitor);
         },
         [](const RunOptions &opts, size_t) {
             return cellLabel(opts);

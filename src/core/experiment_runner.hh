@@ -49,6 +49,9 @@ struct SweepPolicy
 
     /** Allocate a per-cell ProfileRegistry (CellOutcome::profile). */
     bool profile = false;
+
+    /** Capture the end-of-run Census (CellOutcome::census). */
+    bool census = false;
 };
 
 /** Outcome of one cell of a guarded sweep. */
@@ -64,7 +67,21 @@ struct CellOutcome
     std::unique_ptr<obs::EventTrace> trace;
     //! the cell's self-profile (SweepPolicy::profile), else null
     std::unique_ptr<obs::ProfileRegistry> profile;
+    //! the end-of-run census (SweepPolicy::census), else null; empty
+    //! unless status == Ok
+    std::unique_ptr<Census> census;
 };
+
+/**
+ * Run one cell through runExperiment() under @p policy: retries, the
+ * per-cell trace/profile/census attachments, and SimError capture as a
+ * Failed/Timeout outcome.  With a monitor, the caller's open span is
+ * annotated with the attempts, error kind and wall time.  Every guarded
+ * sweep runs its cells through here.
+ */
+CellOutcome runCellGuarded(const RunOptions &opts,
+                           const SweepPolicy &policy,
+                           obs::SweepMonitor *monitor = nullptr);
 
 class ExperimentRunner
 {
@@ -91,12 +108,13 @@ class ExperimentRunner
     std::vector<sim::SimStats> run(const std::vector<RunOptions> &cells);
 
     /**
-     * Fault-isolated variant of run(): a cell that throws SimError (or
-     * any std::exception) is captured as a Failed/Timeout outcome with
-     * zeroed stats and the sweep continues; @p policy.retries re-runs a
-     * failed cell with the same deterministic seed first.  Outcomes are
-     * index-aligned with @p cells.  tps_panic/assert failures still
-     * abort the process: they are programmer errors, not cell errors.
+     * Fault-isolated variant of run(): runCellGuarded() over every
+     * cell.  A cell that throws SimError (or any std::exception) is
+     * captured as a Failed/Timeout outcome with zeroed stats and the
+     * sweep continues; @p policy.retries re-runs a failed cell with the
+     * same deterministic seed first.  Outcomes are index-aligned with
+     * @p cells.  tps_panic/assert failures still abort the process:
+     * they are programmer errors, not cell errors.
      */
     std::vector<CellOutcome>
     runGuarded(const std::vector<RunOptions> &cells,

@@ -158,6 +158,15 @@ effectivePhysBytes(const RunOptions &opts)
     return std::max(opts.physBytes, need);
 }
 
+uint64_t
+Census::mappedBytes() const
+{
+    uint64_t bytes = 0;
+    for (const auto &[page_bits, count] : pageSizes.buckets())
+        bytes += count << page_bits;
+    return bytes;
+}
+
 sim::SimStats
 runExperiment(const RunOptions &opts)
 {
@@ -227,6 +236,26 @@ runExperiment(const RunOptions &opts, const RunHooks &hooks)
         targets.tlb = &engine.mmu().tlbs();
         targets.exemptFrames = exempt;
         check::InvariantChecker(targets).throwIfBad();
+    }
+
+    if (hooks.census) {
+        // One walk over the final page table; leaves come in ascending
+        // VA order, so a leaf's chunks below `next` are already counted.
+        Census census;
+        uint64_t next = 0;
+        engine.addressSpace().pageTable().forEachLeaf(
+            [&](vm::Vaddr base, const vm::LeafInfo &leaf) {
+                census.pageSizes.add(leaf.pageBits);
+                uint64_t first =
+                    std::max(base >> vm::kPageBits2M, next);
+                uint64_t last = (base + (1ull << leaf.pageBits) - 1) >>
+                                vm::kPageBits2M;
+                if (last >= first) {
+                    census.chunks2m += last - first + 1;
+                    next = last + 1;
+                }
+            });
+        *hooks.census = std::move(census);
     }
     return stats;
 }

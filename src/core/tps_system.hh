@@ -17,6 +17,7 @@
 #include "os/phys_memory.hh"
 #include "os/policy_common.hh"
 #include "sim/engine.hh"
+#include "util/stats.hh"
 #include "workloads/registry.hh"
 
 namespace tps::obs {
@@ -121,19 +122,35 @@ uint64_t runSeed(const RunOptions &opts);
 std::string cellLabel(const RunOptions &opts);
 
 /**
+ * The address space's mapped pages at the end of a run (Figs. 9 and
+ * 18): how many pages of each size, and how many distinct 2 MB chunks
+ * they cover.
+ */
+struct Census
+{
+    Histogram pageSizes;    //!< log2(page size) -> mapped page count
+    uint64_t chunks2m = 0;  //!< distinct 2 MB chunks with a mapping
+
+    /** Committed bytes, including promotion bloat. */
+    uint64_t mappedBytes() const;
+};
+
+/**
  * Optional per-run observability attachments for runExperiment():
  * an event trace (obs/event_trace.hh), a simulator self-profile
  * (obs/profile.hh) and a physical-memory telemetry probe
  * (obs/mem_telemetry.hh), each recorded by the cell's engine when
  * non-null.  When RunOptions::memTelemetry is set and no external
  * probe is supplied, runExperiment() attaches a local one -- either
- * way the recorded data lands in SimStats::mem.
+ * way the recorded data lands in SimStats::mem.  A non-null census is
+ * overwritten with the end-of-run Census once the run succeeds.
  */
 struct RunHooks
 {
     obs::EventTrace *trace = nullptr;
     obs::ProfileRegistry *profile = nullptr;
     obs::MemTelemetry *memTelemetry = nullptr;
+    Census *census = nullptr;
 };
 
 /**

@@ -81,8 +81,10 @@ struct EngineConfig
      */
     bool referencePath = false;
     /**
-     * Chunk size for a single batchable workload: accesses fetched per
-     * nextBatch() and translated per step call.  SMT runs, non-batchable
+     * Chunk size for a single batchable workload: the most accesses
+     * fetched per nextBatch() and translated per step call (a batch
+     * also ends where the generator's refill burst runs dry, so real
+     * chunks are often much shorter).  SMT runs, non-batchable
      * generators and referencePath always use one-access chunks.
      * Chunks are clamped so warmup, epoch, checker and maxAccesses
      * boundaries land on the exact access where a one-access chunk

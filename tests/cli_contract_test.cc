@@ -1,16 +1,18 @@
 /**
  * @file
  * CLI error-contract and sharded-sweep end-to-end tests for the
- * command-line surface: tps-analyze, tps-report, tps-merge and a real
- * figure bench (fig10).
+ * command-line surface: tps-analyze, tps-report, tps-merge and real
+ * figure benches (fig10, fig13, fig18).
  *
  * The contract under test: every tool, fed empty input, an unreadable
  * file or a non-manifest JSON document, exits non-zero with a single
  * actionable line on stderr -- never a crash, a zero exit, or silent
- * truncation.  The fig10 end-to-end test drives the tentpole through
- * the real binaries: shard a sweep with --shard=i/N, merge the
- * partials with tps-merge, and require the result to be byte-identical
- * to the unsharded run's canonical manifest.
+ * truncation.  The fig10 end-to-end test drives sharding through the
+ * real binaries: shard a sweep with --shard=i/N, merge the partials
+ * with tps-merge, and require the result to be byte-identical to the
+ * unsharded run's canonical manifest.  The fig13/fig18 tests pin that
+ * the speedup pipeline and census cells honour --event-trace,
+ * --profile, --cell-timeout and --retries like every other cell.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -329,6 +332,87 @@ TEST(ShardedSweep, Fig10EndToEndMergeIsByteIdentical)
     for (const std::string &p : {full, s0, s1, canon, merged, resumed,
                                  pureFresh, pureResumed})
         std::remove(p.c_str());
+}
+
+/**
+ * A Fig. 13 speedup pipeline runs seven cells (THP real, perfect-L2,
+ * perfect-L1, base-4K, then TPS, RMM and CoLT); --event-trace holds
+ * one trace cell for each manifest cell, and tps-analyze reconciles
+ * them against the manifest.
+ */
+TEST(GuardedCells, Fig13TracesEveryPipelineCell)
+{
+    std::string trace = tempPath("fig13.evt");
+    std::string manifest = tempPath("fig13.json");
+    Cmd bench = run(std::string(FIG13_BIN) +
+                    " --benchmarks=mcf --scale=0.01 --phys-gb=1"
+                    " --event-trace=" + trace +
+                    " --stats-json=" + manifest);
+    ASSERT_EQ(bench.exitCode, 0) << bench.err;
+
+    tps::obs::TraceFile file = tps::obs::readTraceFile(trace);
+    Json doc = tps::obs::readJsonFile(manifest);
+    const Json &cells = doc.at("cells");
+    ASSERT_EQ(cells.size(), 7u);
+    ASSERT_EQ(file.cells.size(), cells.size());
+    std::set<std::string> labels;
+    for (const tps::obs::TraceCell &cell : file.cells) {
+        EXPECT_FALSE(cell.events.empty()) << cell.label;
+        labels.insert(cell.label);
+    }
+    EXPECT_EQ(labels, (std::set<std::string>{
+                          "mcf/base4k", "mcf/colt", "mcf/rmm",
+                          "mcf/thp", "mcf/thp/perfect-l1",
+                          "mcf/thp/perfect-l2", "mcf/tps"}));
+
+    Cmd report = run(std::string(TPS_ANALYZE_BIN) + " report " + trace +
+                     " --cell=mcf/tps --manifest=" + manifest);
+    EXPECT_EQ(report.exitCode, 0) << report.err;
+    EXPECT_NE(report.out.find("matches manifest"), std::string::npos)
+        << report.out;
+    std::remove(trace.c_str());
+    std::remove(manifest.c_str());
+}
+
+/** Census cells (Fig. 18) run on the profiled production path. */
+TEST(GuardedCells, Fig18ProfilesCensusCells)
+{
+    Cmd bench = run(std::string(FIG18_BIN) +
+                    " --benchmarks=gups --scale=0.01 --phys-gb=1"
+                    " --profile");
+    ASSERT_EQ(bench.exitCode, 0) << bench.err;
+    size_t at = bench.err.find("  translate ");
+    ASSERT_NE(at, std::string::npos) << bench.err;
+    unsigned long long calls = std::strtoull(
+        bench.err.c_str() + at + std::strlen("  translate "), nullptr, 10);
+    EXPECT_GT(calls, 0u) << bench.err;
+}
+
+/**
+ * A pipeline cell that keeps timing out is retried, recorded as a
+ * timeout with every attempt counted, and ends its pipeline (the row
+ * reads NaN) without failing the bench.
+ */
+TEST(GuardedCells, Fig13TimedOutCellIsRetriedAndRecorded)
+{
+    std::string manifest = tempPath("fig13_timeout.json");
+    Cmd bench = run(std::string(FIG13_BIN) +
+                    " --benchmarks=mcf --scale=0.01 --phys-gb=1"
+                    " --cell-timeout=0.000001 --retries=1"
+                    " --stats-json=" + manifest);
+    ASSERT_EQ(bench.exitCode, 0) << bench.err;
+    EXPECT_NE(bench.err.find("speedup pipeline for mcf failed"),
+              std::string::npos)
+        << bench.err;
+
+    Json doc = tps::obs::readJsonFile(manifest);
+    const Json &cells = doc.at("cells");
+    ASSERT_EQ(cells.size(), 1u);
+    const Json &cell = cells.at(0);
+    EXPECT_EQ(cell.at("options").at("design").asString(), "thp");
+    EXPECT_EQ(cell.at("status").asString(), "timeout");
+    EXPECT_EQ(cell.at("attempts").asUInt(), 2u);
+    std::remove(manifest.c_str());
 }
 
 } // namespace

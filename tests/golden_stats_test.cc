@@ -12,7 +12,8 @@
  *     pure function of the cell identity.
  *
  *  2. Golden values: exact counters for gups and mcf under THP and
- *     TPS at a fixed small scale, and for mcf and gcc with an SMT
+ *     TPS at a fixed small scale, their end-of-run page-size census
+ *     (Figs. 9 and 18), and counters for mcf and gcc with an SMT
  *     competitor.  These fail on any silent perf-model, seeding or
  *     engine round-order change, forcing the change to be
  *     acknowledged by updating the constants here.
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -286,6 +288,64 @@ TEST(GoldenStats, McfUnderTps)
     expectGolden(runCell("mcf", Design::Tps),
                  Golden{30000, 0, 0, 0, 0, 16383},
                  MemGolden{30000, 3333, 7, 26660, 1001001});
+}
+
+/** A cell's end-of-run census: size buckets, 2 MB chunks, bytes. */
+struct CensusGolden
+{
+    const char *workload;
+    Design design;
+    std::map<uint64_t, uint64_t> pageSizes;  //!< log2(size) -> pages
+    uint64_t chunks2m;
+    uint64_t mappedBytes;
+};
+
+/**
+ * The census runExperiment() captures for the single-thread golden
+ * cells, as Fig. 18 (page-size buckets under TPS) and Fig. 9 (2 MB
+ * chunks and committed bytes against base-4K) read it.  Capturing it
+ * leaves the counters untouched, and runCellGuarded() hands back the
+ * same census.
+ */
+TEST(GoldenStats, EndOfRunCensus)
+{
+    const std::vector<CensusGolden> goldens = {
+        {"gups", Design::Base4k, {{12, 20971}}, 41, 85897216},
+        {"gups", Design::Tps,
+         {{12, 1}, {13, 1}, {15, 1}, {17, 1}, {18, 1}, {19, 1}, {20, 1},
+          {24, 1}, {26, 1}},
+         41, 85897216},
+        {"mcf", Design::Base4k, {{12, 16384}}, 32, 67108864},
+        {"mcf", Design::Tps, {{26, 1}}, 32, 67108864},
+    };
+    for (const CensusGolden &g : goldens) {
+        RunOptions opts;
+        opts.workload = g.workload;
+        opts.design = g.design;
+        opts.scale = 0.02;
+        opts.physBytes = 512ull << 20;
+        std::string what =
+            std::string(g.workload) + "/" + designName(g.design);
+
+        Census census;
+        RunHooks hooks;
+        hooks.census = &census;
+        sim::SimStats stats = runExperiment(opts, hooks);
+        EXPECT_EQ(stats.toJson().dump(),
+                  runExperiment(opts).toJson().dump())
+            << what;
+        EXPECT_EQ(census.pageSizes.buckets(), g.pageSizes) << what;
+        EXPECT_EQ(census.chunks2m, g.chunks2m) << what;
+        EXPECT_EQ(census.mappedBytes(), g.mappedBytes) << what;
+
+        SweepPolicy policy;
+        policy.census = true;
+        CellOutcome out = runCellGuarded(opts, policy);
+        ASSERT_EQ(out.status, CellStatus::Ok) << what;
+        ASSERT_TRUE(out.census) << what;
+        EXPECT_EQ(out.census->pageSizes.buckets(), g.pageSizes) << what;
+        EXPECT_EQ(out.census->chunks2m, g.chunks2m) << what;
+    }
 }
 
 /**
