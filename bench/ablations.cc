@@ -78,43 +78,18 @@ aliasModes(const FigOptions &opts, const std::string &wl)
     std::printf("\n");
 }
 
-/**
- * One custom-TLB-geometry run: a per-cell engine build, safe to invoke
- * concurrently (every object below is cell-local; the workload stream
- * is seeded from the cell's identity).
- */
-sim::SimStats
-runTpsTlbVariant(const FigOptions &opts, const std::string &wl,
-                 unsigned entries, bool skewed)
-{
-    os::PhysMemory pm(opts.physBytes);
-    sim::EngineConfig ecfg;
-    ecfg.mmu.tlb = core::designTlbConfig(core::Design::Tps);
-    ecfg.mmu.tlb.tpsTlbEntries = entries;
-    ecfg.mmu.tlb.tpsTlbSkewed = skewed;
-    auto workload = workloads::makeWorkload(
-        wl, opts.scale, cellSeed(wl, "tps-tlb-sweep", opts.scale));
-    ecfg.cycle.instsPerAccess = workload->info().instsPerAccess;
-    sim::Engine engine(pm, core::makePolicy(core::Design::Tps), ecfg);
-    engine.addWorkload(*workload);
-    return engine.run();
-}
-
 void
 tpsTlbCapacity(const FigOptions &opts, const std::string &wl)
 {
     std::printf("-- TPS TLB capacity (%s) --\n", wl.c_str());
     const std::vector<unsigned> capacities = {8u, 16u, 32u, 64u};
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    auto stats = runner.map(
-        capacities,
-        [&](unsigned entries) {
-            return runTpsTlbVariant(opts, wl, entries, false);
-        },
-        [&](unsigned entries, size_t) {
-            return wl + "/tps-tlb-" + std::to_string(entries);
-        });
+    std::vector<core::RunOptions> cells;
+    for (unsigned entries : capacities) {
+        core::RunOptions run = makeRun(opts, wl, core::Design::Tps);
+        run.tpsTlbEntries = entries;
+        cells.push_back(run);
+    }
+    auto stats = runCells(opts, cells);
 
     Table table({"entries", "L1 miss rate", "walks"});
     for (size_t i = 0; i < capacities.size(); ++i) {
@@ -140,16 +115,14 @@ tpsTlbOrganization(const FigOptions &opts, const std::string &wl)
     const std::vector<Org> orgs = {Org{"fully-assoc 32", false, 32u},
                                    Org{"skewed 32x4", true, 32u},
                                    Org{"skewed 64x4", true, 64u}};
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    auto stats = runner.map(
-        orgs,
-        [&](const Org &org) {
-            return runTpsTlbVariant(opts, wl, org.entries, org.skewed);
-        },
-        [&](const Org &org, size_t) {
-            return wl + "/" + org.name;
-        });
+    std::vector<core::RunOptions> cells;
+    for (const Org &org : orgs) {
+        core::RunOptions run = makeRun(opts, wl, core::Design::Tps);
+        run.tpsTlbEntries = org.entries;
+        run.tpsTlbSkewed = org.skewed;
+        cells.push_back(run);
+    }
+    auto stats = runCells(opts, cells);
 
     Table table({"organization", "L1 miss rate", "walks"});
     for (size_t i = 0; i < orgs.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "core/tps_system.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "check/invariant_checker.hh"
 #include "obs/mem_telemetry.hh"
@@ -109,6 +110,19 @@ cellLabel(const RunOptions &opts)
         label += "/perfect-l2";
     else if (opts.timing == sim::TlbTimingMode::PerfectL1)
         label += "/perfect-l1";
+    if (opts.tpsThreshold != 1.0) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "/threshold-%g", opts.tpsThreshold);
+        label += buf;
+    }
+    if (opts.aliasMode == vm::AliasMode::FullCopy)
+        label += "/full-copy";
+    if (opts.noMmuCache)
+        label += "/no-mmu-cache";
+    if (opts.tpsTlbEntries != 0)
+        label += "/tps-tlb-" + std::to_string(opts.tpsTlbEntries);
+    if (opts.tpsTlbSkewed)
+        label += "/skewed";
     return label;
 }
 
@@ -122,6 +136,8 @@ makeEngineConfig(const RunOptions &opts)
     if (opts.noMmuCache)
         ecfg.mmu.mmuCache = vm::MmuCacheConfig{0, 0, 0};
     ecfg.mmu.tlb.tpsTlbSkewed = opts.tpsTlbSkewed;
+    if (opts.tpsTlbEntries != 0)
+        ecfg.mmu.tlb.tpsTlbEntries = opts.tpsTlbEntries;
     ecfg.addressSpace.aliasMode = opts.aliasMode;
     ecfg.addressSpace.encoding = opts.encoding;
     ecfg.addressSpace.denseState = opts.denseState;

@@ -62,6 +62,7 @@ struct RunOptions
     bool fiveLevel = false;
     bool noMmuCache = false;       //!< disable paging-structure caches
     bool tpsTlbSkewed = false;     //!< skewed-associative TPS TLB
+    unsigned tpsTlbEntries = 0;    //!< TPS L1 TLB entries (0 = default)
     bool fragmented = false;       //!< pre-age physical memory
     os::FragmenterConfig fragmenter;
     sim::TlbTimingMode timing = sim::TlbTimingMode::Real;
@@ -115,9 +116,12 @@ uint64_t runSeed(const RunOptions &opts);
 /**
  * The canonical display label for one cell: "workload/design", with a
  * "/perfect-l1" or "/perfect-l2" suffix when the timing mode is not
- * Real.  Sweep-monitor spans, event-trace cells and run-manifest cells
- * all use this one label, so the three artifact kinds of a sweep join
- * on (label, seed) without heuristics.
+ * Real, then one suffix per design knob that is off its default:
+ * "/threshold-<t>", "/full-copy", "/no-mmu-cache", "/tps-tlb-<n>" and
+ * "/skewed", in that order.  Default cells keep the bare label.
+ * Sweep-monitor spans, event-trace cells and run-manifest cells all
+ * use this one label, so the three artifact kinds of a sweep join on
+ * (label, seed) without heuristics.
  */
 std::string cellLabel(const RunOptions &opts);
 

@@ -102,6 +102,9 @@ runOptionsJson(const core::RunOptions &opts)
     // byte-identical to pre-option ones.
     if (opts.footprintBytes != 0)
         j["footprintBytes"] = opts.footprintBytes;
+    // And tpsTlbEntries: 0 means the design's default geometry.
+    if (opts.tpsTlbEntries != 0)
+        j["tpsTlbEntries"] = uint64_t(opts.tpsTlbEntries);
     // referencePath and chunkAccesses are deliberately absent: they
     // select how the translate loop executes, never what it computes
     // (the differential suite proves this), and leaving them out keeps

@@ -29,27 +29,6 @@ fmtSeconds(double s)
     return buf;
 }
 
-/** Peak RSS of this process: VmHWM, with getrusage as fallback. */
-uint64_t
-peakRssBytes()
-{
-    if (FILE *f = std::fopen("/proc/self/status", "r")) {
-        char line[256];
-        while (std::fgets(line, sizeof(line), f)) {
-            unsigned long long kb = 0;
-            if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
-                std::fclose(f);
-                return uint64_t(kb) * 1024;
-            }
-        }
-        std::fclose(f);
-    }
-    struct rusage ru{};
-    if (getrusage(RUSAGE_SELF, &ru) == 0)
-        return uint64_t(ru.ru_maxrss) * 1024;
-    return 0;
-}
-
 /** Wall-clock milliseconds since the Unix epoch. */
 uint64_t
 unixMillis()
@@ -84,6 +63,26 @@ writeFileTolerant(const std::string &path, const std::string &bytes)
 }
 
 } // namespace
+
+uint64_t
+peakRssBytes()
+{
+    if (FILE *f = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        while (std::fgets(line, sizeof(line), f)) {
+            unsigned long long kb = 0;
+            if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
+                std::fclose(f);
+                return uint64_t(kb) * 1024;
+            }
+        }
+        std::fclose(f);
+    }
+    struct rusage ru{};
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        return uint64_t(ru.ru_maxrss) * 1024;
+    return 0;
+}
 
 SweepMonitor::SweepMonitor() : SweepMonitor(Config{}) {}
 

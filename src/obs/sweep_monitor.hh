@@ -35,6 +35,13 @@
 
 namespace tps::obs {
 
+/**
+ * Peak resident set size of this process in bytes: VmHWM from
+ * /proc/self/status, with getrusage's ru_maxrss as fallback; 0 when
+ * neither is available.
+ */
+uint64_t peakRssBytes();
+
 /** The monitor. */
 class SweepMonitor
 {

@@ -1,6 +1,7 @@
 #include "obs/trace_analyze.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/sim_error.hh"
 
@@ -165,6 +166,26 @@ manifestCellLabel(const Json &cell)
     const std::string &timing = opts.at("timing").asString();
     if (timing != "real")
         label += "/" + timing;
+    // The variant suffixes of core::cellLabel(), from the same options;
+    // a key that is absent holds its default.
+    const Json *threshold = opts.find("tpsThreshold");
+    if (threshold && threshold->asDouble() != 1.0) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "/threshold-%g",
+                      threshold->asDouble());
+        label += buf;
+    }
+    const Json *alias = opts.find("aliasMode");
+    if (alias && alias->asString() == "full-copy")
+        label += "/full-copy";
+    const Json *no_mmu_cache = opts.find("noMmuCache");
+    if (no_mmu_cache && no_mmu_cache->asBool())
+        label += "/no-mmu-cache";
+    if (const Json *entries = opts.find("tpsTlbEntries"))
+        label += "/tps-tlb-" + std::to_string(entries->asUInt());
+    const Json *skewed = opts.find("tpsTlbSkewed");
+    if (skewed && skewed->asBool())
+        label += "/skewed";
     return label;
 }
 

@@ -116,8 +116,8 @@ CellAnalysis analyzeCell(const TraceCell &cell);
 
 /**
  * Reconstruct core::cellLabel() from a run-manifest cell object
- * ("workload.name", "design", "options.timing"), for joining manifest
- * cells with trace cells.
+ * ("options.workload", "design", "options.timing" and the design
+ * knobs under "options"), for joining manifest cells with trace cells.
  */
 std::string manifestCellLabel(const Json &cell);
 

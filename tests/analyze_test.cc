@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "obs/event_trace.hh"
+#include "core/tps_system.hh"
 #include "obs/json.hh"
+#include "obs/run_manifest.hh"
 #include "obs/trace_analyze.hh"
 #include "util/sim_error.hh"
 
@@ -187,6 +189,30 @@ TEST(Analyze, ManifestJoinByLabelAndSeed)
     EXPECT_EQ(findManifestCell(perfect, "gups/thp", 42), nullptr);
     EXPECT_NE(findManifestCell(perfect, "gups/thp/perfect-l2", 42),
               nullptr);
+}
+
+TEST(Analyze, ManifestLabelMatchesCellLabelForVariants)
+{
+    core::RunOptions base;
+    base.workload = "xsbench";
+    base.design = core::Design::Tps;
+    std::vector<core::RunOptions> cells(1, base);
+    cells.push_back(base);
+    cells.back().tpsThreshold = 0.5;
+    cells.push_back(base);
+    cells.back().aliasMode = vm::AliasMode::FullCopy;
+    cells.push_back(base);
+    cells.back().noMmuCache = true;
+    cells.push_back(base);
+    cells.back().tpsTlbEntries = 64;
+    cells.back().tpsTlbSkewed = true;
+    cells.back().timing = sim::TlbTimingMode::PerfectL1;
+    for (const core::RunOptions &run : cells) {
+        Json cell = Json::object();
+        cell["design"] = std::string(core::designName(run.design));
+        cell["options"] = runOptionsJson(run);
+        EXPECT_EQ(manifestCellLabel(cell), core::cellLabel(run));
+    }
 }
 
 TEST(Analyze, ResidualMissesReconcileWithManifest)

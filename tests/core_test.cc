@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "vm/ad_bitvector.hh"
 #include "core/tps_math.hh"
 #include "core/tps_system.hh"
@@ -254,6 +258,52 @@ TEST(RunExperiment, SizeFieldEncodingEquivalent)
     sim::SimStats field = runExperiment(opts);
     EXPECT_EQ(napot.l1TlbMisses, field.l1TlbMisses);
     EXPECT_EQ(napot.walkMemRefs, field.walkMemRefs);
+}
+
+TEST(CellLabel, VariantCellsHaveDistinctLabels)
+{
+    RunOptions base;
+    base.workload = "gcc";
+    base.design = Design::Tps;
+    EXPECT_EQ(cellLabel(base), "gcc/tps");
+    base.timing = sim::TlbTimingMode::PerfectL2;
+    EXPECT_EQ(cellLabel(base), "gcc/tps/perfect-l2");
+    base.timing = sim::TlbTimingMode::Real;
+
+    // One cell per ablation variant, plus the default cell.
+    std::vector<RunOptions> cells(1, base);
+    for (double threshold : {0.75, 0.5, 0.25}) {
+        RunOptions run = base;
+        run.tpsThreshold = threshold;
+        cells.push_back(run);
+    }
+    RunOptions copy = base;
+    copy.aliasMode = vm::AliasMode::FullCopy;
+    cells.push_back(copy);
+    RunOptions no_cache = base;
+    no_cache.noMmuCache = true;
+    cells.push_back(no_cache);
+    for (unsigned entries : {8u, 32u}) {
+        for (bool skewed : {false, true}) {
+            RunOptions run = base;
+            run.tpsTlbEntries = entries;
+            run.tpsTlbSkewed = skewed;
+            cells.push_back(run);
+        }
+    }
+    std::set<std::string> labels;
+    for (const RunOptions &run : cells)
+        labels.insert(cellLabel(run));
+    EXPECT_EQ(labels.size(), cells.size());
+    EXPECT_EQ(cellLabel(cells[1]), "gcc/tps/threshold-0.75");
+    EXPECT_EQ(cellLabel(copy), "gcc/tps/full-copy");
+    EXPECT_EQ(cellLabel(no_cache), "gcc/tps/no-mmu-cache");
+    EXPECT_EQ(cellLabel(cells.back()), "gcc/tps/tps-tlb-32/skewed");
+
+    // Variants keep their default cell's stream: the ablation compares
+    // designs on the same accesses.
+    for (const RunOptions &run : cells)
+        EXPECT_EQ(runSeed(run), runSeed(base));
 }
 
 } // namespace
